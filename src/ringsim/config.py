@@ -17,8 +17,9 @@ EAGAIN = 11
 ETIMEDOUT = 110
 EINTR = 4
 
-# Additional errno values used by the host model.
+# Additional errno values used by the host model and the file facade.
 ENOENT = 2
+EIO = 5
 EBADF = 9
 EFAULT = 14
 ENOMEM = 12
@@ -45,10 +46,9 @@ class SimConfig:
     cq_entries: int = 64
     # peek_cqe gives up after this many junk drops in one call
     drop_budget: int = 8
-    # user_data table capacity = sq_entries * pending_multiplier
-    pending_multiplier: int = 4
     # continuations run inline per settle call before deferral
     continuation_budget: int = 32
+    # also caps the in-flight user_data correlation records per ring handle
     max_outstanding_promises: int = 256
     arena_align: int = DEFAULT_ALIGN
     write_staging_cap: int = WRITE_STAGING_CAP

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ring as ringmod
@@ -61,13 +61,9 @@ def cqe_get_data64(c: Completion) -> int:
     return c.tag
 
 
-@dataclass
-class _UserRecord:
+class _UserRecord(NamedTuple):
     tag: int
     opcode: int
-    live: bool = True
-    multishot: bool = False
-    deliveries: int = 0
 
 
 @dataclass
@@ -89,11 +85,14 @@ class RingHandle:
         self.pool = pool
         self._cfg = cfg
         self._drop_budget = cfg.drop_budget
-        self._table_cap = cfg.sq_entries * cfg.pending_multiplier
-        self._table: OrderedDict[int, _UserRecord] = OrderedDict()
+        # every in-flight record belongs to a pending promise, so the promise
+        # pool's cap also bounds the table
+        self._table_cap = cfg.max_outstanding_promises
+        self._table: dict[int, _UserRecord] = {}  # in-flight records only
         self._next_internal = 1  # strictly monotonic, never reused
         self._next_seq = 1
         self._pending_slots: OrderedDict[int, Sqe | None] = OrderedDict()
+        self._open_reservations = 0  # pending slots not yet filled
         self._front: Completion | None = None
         self._entries_list: list[TranslationEntry] = []
         self._bases: list[int] = []
@@ -104,18 +103,21 @@ class RingHandle:
     # --- submission reservation ---
 
     def try_get_sqe(self) -> SqeId | None:
-        """Reserve a submission slot. None when the ring (plus outstanding
-        reservations) is at capacity."""
+        """Reserve a submission slot. None when the ring or the correlation
+        table (plus outstanding reservations) is at capacity."""
+        if len(self._table) + self._open_reservations >= self._table_cap:
+            return None
         occ = self._sq.producer_occupancy()
         if occ + len(self._pending_slots) >= self._sq.entries:
             return None
         seq = self._next_seq
         self._next_seq += 1
         self._pending_slots[seq] = None
+        self._open_reservations += 1
         return SqeId(seq)
 
     def prep_and_submit(self, sid: SqeId, opcode: int, args: SqeArgs,
-                        caller_tag: int, multishot: bool = False) -> int:
+                        caller_tag: int) -> int:
         """Fill a reserved slot and publish.
 
         The caller tag goes into the private table, never into shared memory;
@@ -135,10 +137,9 @@ class RingHandle:
                     raise Untranslatable("buffer straddles translation entries")
         internal = self._next_internal
         self._next_internal += 1
-        self._insert_record(internal, _UserRecord(caller_tag, opcode,
-                                                  multishot=multishot))
-        flags = args.flags | (ringmod.SQEF_MULTISHOT if multishot else 0)
-        self._pending_slots[sid.seq] = Sqe(opcode, flags, args.fd, addr,
+        self._table[internal] = _UserRecord(caller_tag, opcode)
+        self._open_reservations -= 1
+        self._pending_slots[sid.seq] = Sqe(opcode, args.flags, args.fd, addr,
                                            args.len, args.off, internal)
         self._publish_ready()
         return internal
@@ -153,30 +154,16 @@ class RingHandle:
                 break  # scribbled head can fake fullness; retried on pump
             del self._pending_slots[seq]
 
-    def _insert_record(self, internal: int, rec: _UserRecord) -> None:
-        if len(self._table) >= self._table_cap:
-            evicted = False
-            for key in list(self._table)[:8]:
-                if not self._table[key].live:
-                    del self._table[key]
-                    evicted = True
-                    break
-            if not evicted:
-                # oldest live entry gives way; its eventual completion will
-                # be dropped as unknown (host silence already left it stale)
-                self._table.popitem(last=False)
-        self._table[internal] = rec
-
     # --- completion side ---
 
     def peek_cqe(self) -> Completion | None:
-        """Deliver the next completion owed to a live internal id.
+        """Deliver the next completion owed to an in-flight internal id.
 
         The entry is snapshotted in one read and validated against the
-        private table; unknown, dead, and duplicate ids are dropped (their
-        ring slot consumed) up to the per-call drop budget. A previously
-        peeked, unconsumed completion is returned again without touching
-        shared memory.
+        private table; delivery removes the record, so unknown, retired and
+        duplicate ids are all dropped (their ring slot consumed) up to the
+        per-call drop budget. A previously peeked, unconsumed completion is
+        returned again without touching shared memory.
         """
         if self._front is not None:
             return self._front
@@ -185,13 +172,10 @@ class RingHandle:
             raw = self._cq.peek()
             if raw is None:
                 return None
-            rec = self._table.get(raw.user_data)
-            if rec is not None and rec.live:
+            rec = self._table.pop(raw.user_data, None)
+            if rec is not None:
                 comp = Completion(rec.tag, raw.result, raw.flags,
                                   raw.user_data, rec.opcode)
-                if not rec.multishot:
-                    rec.live = False
-                rec.deliveries += 1
                 self.delivered_log.append((raw.user_data, raw.result))
                 self._front = comp
                 return comp
@@ -212,18 +196,13 @@ class RingHandle:
         return self._cq.consumer_occupancy()
 
     def retire(self, receipt: int) -> None:
-        """Tombstone an internal id: later completions for it are dropped.
-
-        Used for sync-call abandonment and multi-shot cancellation.
-        """
-        rec = self._table.get(receipt)
-        if rec is not None:
-            rec.live = False
+        """Forget an internal id: a later completion for it is dropped as
+        unknown. Used for sync-call abandonment."""
+        self._table.pop(receipt, None)
 
     def retire_tag(self, tag: int) -> None:
-        for rec in self._table.values():
-            if rec.tag == tag and rec.live:
-                rec.live = False
+        for internal in [i for i, rec in self._table.items() if rec.tag == tag]:
+            del self._table[internal]
         if self._parked:
             self._parked = deque(p for p in self._parked if p[2] != tag)
 
@@ -316,25 +295,25 @@ class RingHandle:
         window = self._space.access(enclave_base, rsize, "w")
         return SharedBlock(entry, window)
 
-    # --- parked submissions (ring temporarily full) ---
+    # --- parked submissions (ring or correlation table temporarily full) ---
 
-    def submit_or_park(self, opcode: int, args: SqeArgs, tag: int,
-                       multishot: bool = False) -> int | None:
+    def submit_or_park(self, opcode: int, args: SqeArgs,
+                       tag: int) -> int | None:
         sid = self.try_get_sqe()
         if sid is None:
-            self._parked.append((opcode, args, tag, multishot))
+            self._parked.append((opcode, args, tag))
             return None
-        return self.prep_and_submit(sid, opcode, args, tag, multishot)
+        return self.prep_and_submit(sid, opcode, args, tag)
 
     def pump_parked(self) -> None:
         self._publish_ready()
         for _ in range(len(self._parked)):
-            opcode, args, tag, multishot = self._parked.popleft()
+            opcode, args, tag = self._parked.popleft()
             sid = self.try_get_sqe()
             if sid is None:
-                self._parked.appendleft((opcode, args, tag, multishot))
+                self._parked.appendleft((opcode, args, tag))
                 break
-            self.prep_and_submit(sid, opcode, args, tag, multishot)
+            self.prep_and_submit(sid, opcode, args, tag)
 
     @property
     def parked_count(self) -> int:

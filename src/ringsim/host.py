@@ -1,11 +1,11 @@
 """Untrusted host model: SQ poller, worker pool, virtual fs, adversary hooks.
 
 The host consumes submission entries, services them against an in-memory
-filesystem and socket table with seeded deterministic latency, and produces
-completions. Every behavior the availability/integrity games need from a
-hostile kernel is a policy transform applied between consuming a submission
-and delivering its completion: deny, delay, corrupt, duplicate, flood, plus
-the global kill_proxy / ring scribbling / refuse-to-wake actions.
+filesystem with seeded deterministic latency, and produces completions. Every
+behavior the availability/integrity games need from a hostile kernel is a
+policy transform applied between consuming a submission and delivering its
+completion: deny, delay, corrupt, duplicate, flood, plus the global
+kill_proxy / ring scribbling / refuse-to-wake actions.
 
 Nothing here is trusted: the enclave-side modules never read host state
 except through the shared rings and granted windows.
@@ -15,20 +15,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-import struct
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import ring as ringmod
-from .config import (EAGAIN, EBADF, EEXIST, EFAULT, EINVAL, ENOENT, ENOMEM,
+from .config import (EBADF, EEXIST, EFAULT, EINVAL, EIO, ENOENT, ENOMEM,
                      PAGE_SIZE, SimConfig)
 from .errors import BusFault, OutOfMemory, QuotaExceeded, RegistrationError
-from .ring import Cqe, Sqe
+from .ring import WAKE_FMT, Cqe, Sqe
 from .shm import NORMAL, AddressSpace, MemoryAuthority
-
-EIO = 5
-
-_WAKE_FMT = struct.Struct("<II")  # free-running post count, last caller ordinal
 
 
 # --- virtual filesystem ---
@@ -137,31 +131,6 @@ class VirtualFs:
         return (len(f.data), f.block_size, 1 if f.pseudo else 0)
 
 
-# --- sockets ---
-
-@dataclass
-class _Sock:
-    kind: str = "plain"  # plain | listener | conn
-    port: int = 0
-    backlog: deque = field(default_factory=deque)  # queued (peer, payload)
-    rx: bytearray = field(default_factory=bytearray)
-    tx: bytearray = field(default_factory=bytearray)
-    armed_accept: tuple | None = None  # (enclave_id, user_data) multishot
-
-
-class SocketTable:
-    def __init__(self) -> None:
-        self.socks: dict[int, _Sock] = {}
-        self.listeners: dict[int, int] = {}
-        self._next = 1
-
-    def new_sock(self) -> int:
-        sid = self._next
-        self._next += 1
-        self.socks[sid] = _Sock()
-        return sid
-
-
 # --- adversary policy ---
 
 HONEST = ("honest",)
@@ -172,8 +141,7 @@ class AdversaryPolicy:
     """Per-op completion transforms plus global hostile actions.
 
     The transform chosen for an operation is a pure function of the op name,
-    the simulated time, and the seeded stream owned by the host, so identical
-    scenarios replay identically.
+    so identical scenarios replay identically.
     """
 
     per_op: dict[str, tuple] = field(default_factory=dict)
@@ -183,7 +151,7 @@ class AdversaryPolicy:
     scribble_rate: float = 0.0
     bad_register: str = ""  # "", "dup", "overlap", "size"
 
-    def transform_for(self, op_name: str, now: int, rng: random.Random) -> tuple:
+    def transform_for(self, op_name: str) -> tuple:
         return self.per_op.get(op_name, self.default)
 
     @staticmethod
@@ -216,8 +184,7 @@ class HostOs:
         self.name = name
         self.pid = 1000
         self.rings: dict[str, tuple] = {}  # enclave -> (sq consumer, cq producer)
-        self.fds: dict[int, tuple] = {}    # fd -> ("file", path) | ("sock", sid)
-        self.sockets = SocketTable()
+        self.fds: dict[int, str] = {}      # fd -> path
         self.workers: list = []            # heap of (ready, seq, fn)
         self._wseq = 0
         # a host that never forwards wakes leaves its poller parked from boot
@@ -244,11 +211,11 @@ class HostOs:
 
     # --- descriptor table ---
 
-    def _alloc_fd(self, entry: tuple) -> int:
+    def _alloc_fd(self, path: str) -> int:
         fd = 3
         while fd in self.fds:
             fd += 1
-        self.fds[fd] = entry
+        self.fds[fd] = path
         return fd
 
     # --- slice body ---
@@ -275,7 +242,7 @@ class HostOs:
 
     def _drain_wake_region(self) -> None:
         if self.wake_window is not None:
-            count, _ = _WAKE_FMT.unpack(self.wake_window.read(0, _WAKE_FMT.size))
+            count, _ = WAKE_FMT.unpack(self.wake_window.read(0, WAKE_FMT.size))
             self._wake_seen = count
 
     def _deliver_due(self, now: int) -> int:
@@ -354,7 +321,7 @@ class HostOs:
     def _service(self, eid: str, sqe: Sqe, now: int) -> None:
         self.serviced += 1
         name = ringmod.OP_NAMES.get(sqe.opcode, "invalid")
-        tf = self.policy.transform_for(name, now, self.rng)
+        tf = self.policy.transform_for(name)
         self.events.append(("sqe", now, eid, name, sqe.user_data))
         if tf[0] == "deny":
             self.events.append(("deny", now, name, sqe.user_data))
@@ -377,7 +344,7 @@ class HostOs:
         """Compute the op now; apply byte effects and CQE at delivery time."""
 
         def deliver(now: int) -> None:
-            result, payload_addr, payload = self._execute(eid, sqe, now)
+            result, payload_addr, payload = self._execute(sqe)
             tampered = False
             if corrupt:
                 tampered = True
@@ -392,18 +359,14 @@ class HostOs:
             cqe = Cqe(sqe.user_data, result, 0)
             note = None
             if sqe.opcode == ringmod.OP_READ and payload is not None:
-                path = self._fd_path(sqe.fd)
+                path = self.fds.get(sqe.fd)
                 note = ("read_payload", now, eid, sqe.user_data, path,
                         not tampered, sqe.off, len(payload), result)
             self._produce_cqe(eid, cqe, note)
 
         return deliver
 
-    def _fd_path(self, fd: int):
-        entry = self.fds.get(fd)
-        return entry[1] if entry and entry[0] == "file" else None
-
-    def _execute(self, eid: str, sqe: Sqe, now: int):
+    def _execute(self, sqe: Sqe):
         """-> (result, payload_addr | None, payload | None)"""
         op = sqe.opcode
         if op == ringmod.OP_OPEN:
@@ -418,40 +381,31 @@ class HostOs:
                               bool(sqe.off & ringmod.OPENF_TRUNC))
             if r < 0:
                 return (r, None, None)
-            return (self._alloc_fd(("file", text)), None, None)
+            return (self._alloc_fd(text), None, None)
         if op == ringmod.OP_READ:
-            entry = self.fds.get(sqe.fd)
-            if entry is None:
+            path = self.fds.get(sqe.fd)
+            if path is None:
                 return (-EBADF, None, None)
-            if entry[0] == "file":
-                data = self.vfs.read(entry[1], sqe.off, sqe.len)
-                return (len(data), sqe.addr, data)
-            sock = self.sockets.socks[entry[1]]
-            data = bytes(sock.rx[:sqe.len])
-            del sock.rx[:len(data)]
+            data = self.vfs.read(path, sqe.off, sqe.len)
             return (len(data), sqe.addr, data)
         if op == ringmod.OP_WRITE:
-            entry = self.fds.get(sqe.fd)
-            if entry is None:
+            path = self.fds.get(sqe.fd)
+            if path is None:
                 return (-EBADF, None, None)
             data = self._read_proxy(sqe.addr, sqe.len)
             if data is None:
                 return (-EFAULT, None, None)
-            if entry[0] == "file":
-                return (self.vfs.write(entry[1], sqe.off, data), None, None)
-            sock = self.sockets.socks[entry[1]]
-            sock.tx += data
-            return (len(data), None, None)
+            return (self.vfs.write(path, sqe.off, data), None, None)
         if op == ringmod.OP_CLOSE:
             if sqe.fd not in self.fds:
                 return (-EBADF, None, None)
             del self.fds[sqe.fd]
             return (0, None, None)
         if op == ringmod.OP_STATX:
-            entry = self.fds.get(sqe.fd)
-            if entry is None or entry[0] != "file":
+            path = self.fds.get(sqe.fd)
+            if path is None:
                 return (-EBADF, None, None)
-            size, block, pseudo = self.vfs.stat(entry[1])
+            size, block, pseudo = self.vfs.stat(path)
             return (0, sqe.addr, ringmod.STATX_FMT.pack(size, block, pseudo))
         if op == ringmod.OP_UNLINK:
             path = self._read_proxy(sqe.addr, sqe.len)
@@ -465,69 +419,12 @@ class HostOs:
             return (self.vfs.mkdir(path.decode()), None, None)
         if op == ringmod.OP_SYNC:
             return (0 if sqe.fd in self.fds else -EBADF, None, None)
-        if op == ringmod.OP_SOCKET:
-            sid = self.sockets.new_sock()
-            return (self._alloc_fd(("sock", sid)), None, None)
-        if op == ringmod.OP_BIND:
-            entry = self.fds.get(sqe.fd)
-            if entry is None or entry[0] != "sock":
-                return (-EBADF, None, None)
-            port = sqe.off
-            if port in self.sockets.listeners:
-                return (-EEXIST, None, None)
-            sock = self.sockets.socks[entry[1]]
-            sock.port = port
-            self.sockets.listeners[port] = entry[1]
-            return (0, None, None)
-        if op == ringmod.OP_LISTEN:
-            entry = self.fds.get(sqe.fd)
-            if entry is None or entry[0] != "sock":
-                return (-EBADF, None, None)
-            self.sockets.socks[entry[1]].kind = "listener"
-            return (0, None, None)
-        if op == ringmod.OP_ACCEPT:
-            entry = self.fds.get(sqe.fd)
-            if entry is None or entry[0] != "sock":
-                return (-EBADF, None, None)
-            sock = self.sockets.socks[entry[1]]
-            if sqe.flags & ringmod.SQEF_MULTISHOT:
-                sock.armed_accept = (eid, sqe.user_data)
-            if sock.backlog:
-                payload = sock.backlog.popleft()
-                return (self._accept_conn(payload), None, None)
-            if sqe.flags & ringmod.SQEF_MULTISHOT:
-                return (0, None, None)  # armed; connections arrive as CQEs
-            return (-EAGAIN, None, None)
-        if op == ringmod.OP_RECV:
-            entry = self.fds.get(sqe.fd)
-            if entry is None or entry[0] != "sock":
-                return (-EBADF, None, None)
-            sock = self.sockets.socks[entry[1]]
-            data = bytes(sock.rx[:sqe.len])
-            del sock.rx[:len(data)]
-            return (len(data), sqe.addr, data)
-        if op == ringmod.OP_SEND:
-            entry = self.fds.get(sqe.fd)
-            if entry is None or entry[0] != "sock":
-                return (-EBADF, None, None)
-            data = self._read_proxy(sqe.addr, sqe.len)
-            if data is None:
-                return (-EFAULT, None, None)
-            self.sockets.socks[entry[1]].tx += data
-            return (len(data), None, None)
         if op == ringmod.OP_GETPID:
             # routed to the host on purpose; the value is untrusted data
             return (self.pid, None, None)
         if op == ringmod.OP_ENCLAVE_MMAP:
             return self._service_mmap(sqe)
         return (-EINVAL, None, None)
-
-    def _accept_conn(self, payload: bytes) -> int:
-        sid = self.sockets.new_sock()
-        conn = self.sockets.socks[sid]
-        conn.kind = "conn"
-        conn.rx += payload
-        return self._alloc_fd(("sock", sid))
 
     def _service_mmap(self, sqe: Sqe):
         size = sqe.len
@@ -569,20 +466,3 @@ class HostOs:
         if mapping.base > 0x7FFFFFFF:
             raise AssertionError("proxy bases must fit the result field")
         return (mapping.base, None, None)
-
-    # --- scenario hooks ---
-
-    def inject_connection(self, port: int, payload: bytes, now: int) -> bool:
-        sid = self.sockets.listeners.get(port)
-        if sid is None:
-            return False
-        sock = self.sockets.socks[sid]
-        if sock.armed_accept is not None and self.proxy_alive:
-            eid, user_data = sock.armed_accept
-            fd = self._accept_conn(payload)
-            self._schedule(now + self._latency(),
-                           lambda t, c=Cqe(user_data, fd, ringmod.CQF_MORE):
-                           self._produce_cqe(eid, c))
-        else:
-            sock.backlog.append(payload)
-        return True

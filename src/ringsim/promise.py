@@ -210,30 +210,45 @@ class PromisePool:
 
 # --- async IO composition over a runtime (handle + pools) ---
 
-def async_write(rt, fd: int, data: bytes, off: int = 0) -> Promise:
-    """data -> shared staging arena -> submission -> completion result.
+def _staged_op(rt, opcode: int, size: int, fd: int = 0, off: int = 0,
+               payload: bytes | None = None, finish: Callable | None = None
+               ) -> Promise:
+    """Shared staging arena -> submission -> completion result.
 
-    A zero-byte write never touches the rings: immediately fulfilled with 0.
-    The staging arena is freed when the completion (or failure) lands.
+    The arena holds `size` bytes at the submitted address; `payload`, when
+    given, is copied in before submitting. On completion finish(arena, offset,
+    result) gives the promise value (default: the result), and the arena is
+    freed when the completion (or failure) lands.
     """
     pool = rt.pool
-    if len(data) == 0:
-        return pool.fulfilled(0)
 
     def _stage(_args, arena):
-        aoff = arena.push(len(data))
-        arena.write(aoff, data)
-        p_res = rt.submit_async(ringmod.OP_WRITE, SqeArgs(
-            fd=fd, addr=arena.addr_of(aoff), len=len(data), off=off))
+        aoff = arena.push(size)
+        if payload is not None:
+            arena.write(aoff, payload)
+        p_res = rt.submit_async(opcode, SqeArgs(
+            fd=fd, addr=arena.addr_of(aoff), len=size, off=off))
 
         def _done(_a, result):
+            value = result if finish is None else finish(arena, aoff, result)
             rt.arena_pool.free_arena(arena)
-            return result
+            return value
 
         return pool.then(p_res, _done,
                          on_fail=lambda _a, _e: rt.arena_pool.free_arena(arena))
 
-    return pool.then(rt.arena_pool.request_arena(len(data)), _stage)
+    return pool.then(rt.arena_pool.request_arena(max(size, 1)), _stage)
+
+
+def async_write(rt, fd: int, data: bytes, off: int = 0) -> Promise:
+    """Promise of the write's completion result.
+
+    A zero-byte write never touches the rings: immediately fulfilled with 0.
+    """
+    if len(data) == 0:
+        return rt.pool.fulfilled(0)
+    return _staged_op(rt, ringmod.OP_WRITE, len(data), fd=fd, off=off,
+                      payload=data)
 
 
 def async_read(rt, fd: int, n: int, off: int = 0) -> Promise:
@@ -242,45 +257,16 @@ def async_read(rt, fd: int, n: int, off: int = 0) -> Promise:
     A hostile result value larger than the request is clamped to the arena
     window, so the copy-out can never overrun private buffers.
     """
-    pool = rt.pool
     if n == 0:
-        return pool.fulfilled(b"")
-
-    def _stage(_args, arena):
-        aoff = arena.push(n)
-        p_res = rt.submit_async(ringmod.OP_READ, SqeArgs(
-            fd=fd, addr=arena.addr_of(aoff), len=n, off=off))
-
-        def _done(_a, result):
-            take = min(result, n)
-            data = arena.read(aoff, take)
-            rt.arena_pool.free_arena(arena)
-            return data
-
-        return pool.then(p_res, _done,
-                         on_fail=lambda _a, _e: rt.arena_pool.free_arena(arena))
-
-    return pool.then(rt.arena_pool.request_arena(n), _stage)
+        return rt.pool.fulfilled(b"")
+    return _staged_op(rt, ringmod.OP_READ, n, fd=fd, off=off,
+                      finish=lambda arena, aoff, result:
+                      arena.read(aoff, min(result, n)))
 
 
 def async_path_op(rt, opcode: int, path: bytes, off: int = 0) -> Promise:
     """open/unlink/mkdir: path bytes staged through an arena."""
-    pool = rt.pool
-
-    def _stage(_args, arena):
-        aoff = arena.push(len(path))
-        arena.write(aoff, path)
-        p_res = rt.submit_async(opcode, SqeArgs(
-            addr=arena.addr_of(aoff), len=len(path), off=off))
-
-        def _done(_a, result):
-            rt.arena_pool.free_arena(arena)
-            return result
-
-        return pool.then(p_res, _done,
-                         on_fail=lambda _a, _e: rt.arena_pool.free_arena(arena))
-
-    return pool.then(rt.arena_pool.request_arena(max(len(path), 1)), _stage)
+    return _staged_op(rt, opcode, len(path), off=off, payload=path)
 
 
 def async_open(rt, path: bytes, open_flags: int = 0) -> Promise:
@@ -289,20 +275,6 @@ def async_open(rt, path: bytes, open_flags: int = 0) -> Promise:
 
 def async_statx(rt, fd: int) -> Promise:
     """Promise of (size, block_size, pseudo_flag)."""
-    pool = rt.pool
-
-    def _stage(_args, arena):
-        aoff = arena.push(ringmod.STATX_BYTES)
-        p_res = rt.submit_async(ringmod.OP_STATX, SqeArgs(
-            fd=fd, addr=arena.addr_of(aoff), len=ringmod.STATX_BYTES))
-
-        def _done(_a, _result):
-            raw = arena.read(aoff, ringmod.STATX_BYTES)
-            rt.arena_pool.free_arena(arena)
-            size, block, pseudo = ringmod.STATX_FMT.unpack(raw)
-            return (size, block, pseudo)
-
-        return pool.then(p_res, _done,
-                         on_fail=lambda _a, _e: rt.arena_pool.free_arena(arena))
-
-    return pool.then(rt.arena_pool.request_arena(ringmod.STATX_BYTES), _stage)
+    return _staged_op(rt, ringmod.OP_STATX, ringmod.STATX_BYTES, fd=fd,
+                      finish=lambda arena, aoff, _result: ringmod.STATX_FMT
+                      .unpack(arena.read(aoff, ringmod.STATX_BYTES)))

@@ -228,6 +228,7 @@ def ring_region_bytes(entries: int, slot_size: int) -> int:
 
 
 # --- operation vocabulary carried in Sqe.opcode ---
+# Numbers are wire format and never reused; 9..14 and 17 are unassigned.
 
 OP_OPEN = 1
 OP_READ = 2
@@ -237,29 +238,14 @@ OP_STATX = 5
 OP_UNLINK = 6
 OP_MKDIR = 7
 OP_SYNC = 8
-OP_SOCKET = 9
-OP_BIND = 10
-OP_LISTEN = 11
-OP_ACCEPT = 12
-OP_RECV = 13
-OP_SEND = 14
 OP_GETPID = 15
 OP_ENCLAVE_MMAP = 16
-OP_ENCLAVE_SPAWN = 17
 
 OP_NAMES = {
     OP_OPEN: "open", OP_READ: "read", OP_WRITE: "write", OP_CLOSE: "close",
     OP_STATX: "statx", OP_UNLINK: "unlink", OP_MKDIR: "mkdir", OP_SYNC: "sync",
-    OP_SOCKET: "socket", OP_BIND: "bind", OP_LISTEN: "listen",
-    OP_ACCEPT: "accept", OP_RECV: "recv", OP_SEND: "send", OP_GETPID: "getpid",
-    OP_ENCLAVE_MMAP: "enclave_mmap", OP_ENCLAVE_SPAWN: "enclave_spawn",
+    OP_GETPID: "getpid", OP_ENCLAVE_MMAP: "enclave_mmap",
 }
-
-# Sqe.flags bits
-SQEF_MULTISHOT = 0x01
-
-# Cqe.flags bits
-CQF_MORE = 0x01
 
 # open() mode bits carried in Sqe.off
 OPENF_CREATE = 0x1
@@ -269,3 +255,7 @@ OPENF_TRUNC = 0x2
 # pseudo u32
 STATX_FMT = struct.Struct("<QII")
 STATX_BYTES = STATX_FMT.size
+
+# wake-queue record the trusted kernel posts on ring enter: free-running post
+# count u32, last caller ordinal u32
+WAKE_FMT = struct.Struct("<II")

@@ -5,9 +5,9 @@ and is entered with `yield from`. A synchronous wait polls the event loop at
 a fixed tick cost and converts the three ways a wait can end into errno
 conventions: negative errno for host refusals, -ETIMEDOUT when the caller's
 deadline passes, -EINTR when an alarm fires first, -EAGAIN for a zero-timeout
-probe that would block. Timed-out calls abandon their promise and tombstone
-the submission, so a straggler completion settles nothing and frees nothing
-twice.
+probe that would block. Timed-out calls abandon their promise and retire the
+submission's correlation record, so a straggler completion is dropped as
+unknown and settles nothing and frees nothing twice.
 
 The file facade stages writes privately and submits block-multiple chunks at
 tracked offsets with one write in flight per file; write errors surface on a
@@ -20,21 +20,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ring as ringmod
-from .config import EAGAIN, EFAULT, EINTR, ENOMEM, ETIMEDOUT
+from .config import EAGAIN, EFAULT, EINTR, EIO, ENOMEM, ETIMEDOUT
 from .errors import PoolExhausted, RegistrationRejected, Untranslatable
 from .promise import (FAILED, FULFILLED, PENDING, async_open, async_path_op,
                       async_read, async_statx, async_write)
 
 
-def _fail_value(error):
+def _errno_of(error) -> int | None:
     # host refusals arrive as errno ints; trusted-side refusals as typed
-    # errors with a sensible errno image; anything else is a caller bug
+    # errors with a sensible errno image; None for anything else
     if isinstance(error, int):
-        return -error
+        return error
     if isinstance(error, (PoolExhausted, RegistrationRejected)):
-        return -ENOMEM
+        return ENOMEM
     if isinstance(error, Untranslatable):
-        return -EFAULT
+        return EFAULT
+    return None
+
+
+def _fail_value(error):
+    errno = _errno_of(error)
+    if errno is not None:
+        return -errno
+    # an unmapped failure is a caller bug
     if isinstance(error, Exception):
         raise error
     raise RuntimeError(f"promise failed: {error}")
@@ -185,21 +193,15 @@ class PosixShim:
         def _landed(_args, result):
             f.inflight = None
             if result < len(chunk):
-                f.error = -result if result < 0 else 5  # short write -> EIO
+                f.error = -result if result < 0 else EIO  # short write
             else:
                 self._maybe_submit(f, tail)
             return result
 
         def _lost(_args, error):
             f.inflight = None
-            if isinstance(error, int):
-                f.error = error
-            elif isinstance(error, (PoolExhausted, RegistrationRejected)):
-                f.error = ENOMEM
-            elif isinstance(error, Untranslatable):
-                f.error = EFAULT
-            else:
-                f.error = 5
+            errno = _errno_of(error)
+            f.error = EIO if errno is None else errno
 
         f.inflight = self.rt.pool.then(p, _landed, on_fail=_lost)
 

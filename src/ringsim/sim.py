@@ -9,7 +9,6 @@ quota).
 """
 from __future__ import annotations
 
-import struct
 from typing import Callable
 
 from .arena import ArenaPool
@@ -19,12 +18,11 @@ from .enclave import RingHandle
 from .errors import RegistrationRejected
 from .host import AdversaryPolicy, HostOs, VirtualFs
 from .promise import PromisePool
-from .ring import (CQE_SIZE, SQE_SIZE, cq_ring_attach, cq_ring_init,
-                   ring_region_bytes, sq_ring_attach, sq_ring_init)
+from .ring import (CQE_SIZE, SQE_SIZE, WAKE_FMT, cq_ring_attach,
+                   cq_ring_init, ring_region_bytes, sq_ring_attach,
+                   sq_ring_init)
 from .sched import ENCLAVE, FP, HOST, BudgetScheduler
 from .shm import MemoryAuthority, NORMAL, TRUSTED
-
-_WAKE_FMT = struct.Struct("<II")
 
 
 class TrustedKernel:
@@ -62,7 +60,7 @@ class TrustedKernel:
         ordinal = self._caller_ordinals.setdefault(caller,
                                                    len(self._caller_ordinals))
         self._wake_count = (self._wake_count + 1) & 0xFFFFFFFF
-        self._wake_window.write(0, _WAKE_FMT.pack(self._wake_count, ordinal))
+        self._wake_window.write(0, WAKE_FMT.pack(self._wake_count, ordinal))
         self.host.notify_enter()
 
     def attach_shared(self, space, region_id: int, rsize: int,
@@ -109,24 +107,20 @@ class EnclaveRuntime:
         self.device = device
         self._sched = sched
         self._kernel = kernel
-        self.multishot_handlers: dict[int, Callable] = {}
         self.detections = 0  # app-level integrity check failures
 
     def now(self) -> int:
         return self._sched.now
 
-    def submit_async(self, opcode: int, args, multishot: bool = False,
-                     handler: Callable | None = None):
-        """Queue one submission; promise of its (first) completion result."""
+    def submit_async(self, opcode: int, args):
+        """Queue one submission; promise of its completion result."""
         p = self.pool.create()
-        if multishot and handler is not None:
-            self.multishot_handlers[p.tag] = handler
-        self.handle.submit_or_park(opcode, args, p.tag, multishot)
+        self.handle.submit_or_park(opcode, args, p.tag)
         self._kernel.ring_enter(self.name)
         return p
 
     def pump(self, max_events: int | None = None) -> int:
-        """Drain up to max_events completion deliveries plus deferred work.
+        """Drain up to max_events delivered completions plus deferred work.
 
         A peek that comes back empty only ends the loop when the ring itself
         reports empty; a junk-flooded ring burns event slots (each covering a
@@ -145,13 +139,7 @@ class EnclaveRuntime:
                 continue
             self.handle.consume_cqe()
             n += 1
-            h = self.multishot_handlers.get(comp.tag)
-            if h is not None:
-                h(comp)
-                if comp.tag in self.pool._by_tag:
-                    self.pool.settle_from_cqe(comp)
-            else:
-                self.pool.settle_from_cqe(comp)
+            self.pool.settle_from_cqe(comp)
         self.pool.run_deferred()
         return n
 

@@ -104,7 +104,7 @@ class FakeRT:
         self.cfg = SimConfig()
         self._now = 0
 
-    def submit_async(self, opcode, args, multishot=False, handler=None):
+    def submit_async(self, opcode, args):
         p = self.pool.create()
         self.submitted.append((opcode, args, p))
         return p

@@ -255,26 +255,7 @@ def test_retire_drops_late_completion():
     receipt = h.prep_and_submit(sid, 2, SqeArgs(), 3)
     h.retire(receipt)
     host_cq.produce(Cqe(receipt, 99, 0))
-    assert h.peek_cqe() is None  # tombstoned id, straggler dropped
-
-
-def test_multishot_delivers_repeatedly():
-    _, h, _, host_cq = _world()
-    sid = h.try_get_sqe()
-    receipt = h.prep_and_submit(sid, 10, SqeArgs(), 4, multishot=True)
-    for r in (1, 2, 3):
-        host_cq.produce(Cqe(receipt, r, 0x01))
-    got = []
-    while True:
-        c = h.peek_cqe()
-        if c is None:
-            break
-        got.append(c.result)
-        h.consume_cqe()
-    assert got == [1, 2, 3]
-    h.retire_tag(4)
-    host_cq.produce(Cqe(receipt, 9, 0x01))
-    assert h.peek_cqe() is None  # cancelled
+    assert h.peek_cqe() is None  # retired id, straggler dropped
 
 
 def test_tag_collisions_disambiguated_by_internal_id():
@@ -301,21 +282,32 @@ def test_tag_collisions_disambiguated_by_internal_id():
 
 
 def test_pending_table_bounded():
-    _, h, host_sq, host_cq = _world()
-    cap = CFG.sq_entries * CFG.pending_multiplier
-    first_receipt = None
-    for i in range(cap + 10):
+    # the table holds in-flight records only; when it is full, new work
+    # parks instead of evicting a caller whose completion is still owed
+    cfg = SimConfig(sq_entries=8, cq_entries=8, max_outstanding_promises=20)
+    _, h, host_sq, host_cq = ring_world(cfg)
+    receipts = []
+    while True:
         sid = h.try_get_sqe()
-        while sid is None:
+        if sid is None:
             host_sq.consume_batch(8)  # host consumes but never completes
             h.pump_parked()
             sid = h.try_get_sqe()
-        r = h.prep_and_submit(sid, 2, SqeArgs(), i)
-        if first_receipt is None:
-            first_receipt = r
-    assert len(h._table) <= cap
-    host_cq.produce(Cqe(first_receipt, 7, 0))
-    assert h.peek_cqe() is None  # evicted id: completion dropped as unknown
+            if sid is None:
+                break
+        receipts.append(h.prep_and_submit(sid, 2, SqeArgs(), len(receipts)))
+    assert len(receipts) == len(h._table) == 20
+    assert h.submit_or_park(2, SqeArgs(), tag=99) is None
+    assert h.parked_count == 1
+    host_cq.produce(Cqe(receipts[0], 7, 0))  # first caller's late completion
+    c = h.peek_cqe()
+    assert (c.tag, c.result, c.internal_id) == (0, 7, receipts[0])
+    h.consume_cqe()
+    h.pump_parked()                          # delivery freed one record
+    assert h.parked_count == 0
+    published = host_sq.consume_batch(8)
+    assert len(published) == 1 and published[0].user_data > receipts[-1]
+    assert len(h._table) == 20
 
 
 def test_parking_drains_after_capacity_frees():

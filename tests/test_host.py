@@ -310,25 +310,3 @@ def test_mmap_grants_and_bad_register_lies():
     assert any(e[0] == "registration_rejected" for e in bad.host.events)
     # rejected registration left the authority byte-identical
     assert any(e[0] == "reg_atomic" and e[2] for e in bad.host.events)
-
-
-def test_socket_accept_multishot_and_recv():
-    w = World()
-    cqe, t = w.run_op(0, ringmod.OP_SOCKET)
-    sfd = cqe.result
-    cqe, t = w.run_op(t, ringmod.OP_BIND, fd=sfd, off=9090)
-    assert cqe.result == 0
-    cqe, t = w.run_op(t, ringmod.OP_LISTEN, fd=sfd)
-    assert cqe.result == 0
-    cqe, t = w.run_op(t, ringmod.OP_ACCEPT, fd=sfd,
-                      flags=ringmod.SQEF_MULTISHOT)
-    assert cqe.result == 0                 # armed, nothing queued yet
-    assert w.host.inject_connection(9090, b"ping", t)
-    w.pump(t, t + 20_000)
-    conn = [c for c in w.drain() if c.flags & ringmod.CQF_MORE]
-    assert len(conn) == 1 and conn[0].result >= 3
-    cqe, t = w.run_op(t + 20_000, ringmod.OP_RECV, fd=conn[0].result,
-                      addr=w.buf_addr, ln=16)
-    assert cqe.result == 4
-    assert w.buf.read(0, 4) == b"ping"
-    assert not w.host.inject_connection(7777, b"x", t)  # no such listener

@@ -6,6 +6,7 @@ from ringsim.config import EAGAIN, EINTR, ENOENT, ETIMEDOUT, INIT_SHM_ENV
 from ringsim.enclave import SqeArgs
 from ringsim.host import AdversaryPolicy
 from ringsim import ring as ringmod
+from ringsim.promise import async_read
 from ringsim.shim import PosixShim, getpid, sync_call
 
 from helpers import app_sim, spawn_app
@@ -218,3 +219,23 @@ def test_sequential_write_stream_matches_model():
     assert out["fl"] == 0
     assert out["got"] == b"".join(chunks)
     assert bytes(sim.vfs.files["/data/f"].data) == b"".join(chunks)
+
+
+def test_delayed_reads_outlive_a_full_table_of_later_calls():
+    # hundreds of calls complete while 8 slow reads are in flight; the
+    # oldest read must still be matched to its completion
+    policy = AdversaryPolicy(per_op={"read": ("delay", 80_000_000)})
+
+    def body(rt, out):
+        fd = yield from PosixShim(rt).open("/data/f")
+        reads = [async_read(rt, fd, 512, 512 * i) for i in range(8)]
+        for _ in range(400):
+            yield from getpid(rt)
+        out["first"] = yield from sync_call(rt, reads[0], 500_000_000)
+        out["at"] = rt.now()
+        out["done"] = True
+
+    _, _, out = run_body(body, policy=policy, horizon=600_000_000)
+    assert out["first"] == _pattern(b"/data/f", 512)
+    assert out["at"] < 90_000_000
+
