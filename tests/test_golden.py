@@ -1,0 +1,175 @@
+"""Golden digests of whole runs: behaviour pinned tick for tick.
+
+Each case hashes everything a run leaves behind that depends on when task
+bodies and host slices ran: the scheduler trace, the host event log, the
+device tx log, every runtime's delivered-completion log and arena
+accounting, plus the values the run returned. One event moved by one
+nanosecond changes a digest, so a change that claims to keep behaviour (a
+cheaper wait, a faster scheduler) must leave every digest as it is.
+
+Cases: the 16 scenario files, the four bench modes, and fixed-time runs of
+three periodic PosixShim enclaves (sensor read, compute, buffered log write)
+against an honest, a slow-writing, a refusing and a never-waking host.
+
+Regenerate only when behaviour is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+from ringsim import scenario
+from ringsim.config import INIT_SHM_ENV, SimConfig
+from ringsim.host import AdversaryPolicy, VFile
+from ringsim.shim import PosixShim
+from ringsim.sim import Simulation
+
+HERE = Path(__file__).resolve().parent
+SCENARIOS = HERE.parent / "scenarios"
+DIGESTS = HERE / "data" / "golden_digests.json"
+BENCH_MODES = ("blocking", "pipelined", "blocking_alt", "pipelined_alt")
+
+
+@contextmanager
+def _recorded_sims():
+    """Collect every Simulation the scenario runners build."""
+    made: list[Simulation] = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    saved = scenario.Simulation
+    scenario.Simulation = Recorded
+    try:
+        yield made
+    finally:
+        scenario.Simulation = saved
+
+
+def _digest(result, sims) -> str:
+    h = hashlib.sha256(repr(result).encode())
+    for sim in sims:
+        for part in (sim.sched.trace, sim.host.events, sim.device.tx_log):
+            h.update(repr(part).encode())
+        for name in sorted(sim.runtimes):
+            rt = sim.runtimes[name]
+            h.update(repr((name, rt.handle.delivered_log,
+                           rt.arena_pool.accounting())).encode())
+    return h.hexdigest()
+
+
+def _scenario_case(path: Path) -> str:
+    text = path.read_text()
+    kind = scenario.parse_scenario(text)["scenario"].get("kind", "game1")
+    run = scenario.run_game2 if kind == "game2" else scenario.run_game1
+    with _recorded_sims() as sims:
+        row = run(text)
+    return _digest(row, sims)
+
+
+def _bench_case(mode: str) -> str:
+    with _recorded_sims() as sims:
+        row = scenario.run_bench(mode)
+    return _digest(row, sims)
+
+
+# --- periodic shim enclaves over a fixed simulated time ---
+
+SENSOR = "/sensors/bus.bin"
+# name, period, budget, priority, read length, record length, compute,
+# flush every, shim timeout
+FLEET = (
+    ("imu", 100_000, 10_000, 9, 24, 40, 1_500, 12, None),
+    ("nav", 250_000, 25_000, 6, 64, 200, 5_000, 6, 300_000),
+    ("tlm", 500_000, 40_000, 3, 96, 700, 8_000, 4, 1_500_000),
+)
+FLEET_HOSTS = {
+    "honest": AdversaryPolicy(),
+    "slow_write": AdversaryPolicy(per_op={"write": ("delay", 2_500_000)}),
+    "deny_read": AdversaryPolicy(per_op={"read": ("deny",)}),
+    "never_wake": AdversaryPolicy(never_wake=True),
+}
+
+
+def _fleet_body(rt, out, read_len, rec_len, compute, flush_every, timeout):
+    shim = PosixShim(rt, timeout_ns=timeout)
+    sfd = yield from shim.open(SENSOR)
+    out.append(("sensor", rt.now(), sfd))
+    fd = yield from shim.open(f"/logs/{rt.name}.log", create=True)
+    out.append(("log", rt.now(), fd))
+    i = 0
+    while sfd >= 0 and fd >= 0:
+        got = yield from shim.read(sfd, read_len, (i * 37) % 2048)
+        yield ("compute", compute)
+        n = yield from shim.write(fd, bytes([i & 0xFF]) * rec_len)
+        out.append((i, rt.now(), got if isinstance(got, int) else len(got), n))
+        i += 1
+        if i % flush_every == 0:
+            out.append(("flush", rt.now(), (yield from shim.flush(fd))))
+    while True:
+        yield ("yield",)
+
+
+def _fleet_case(host: str) -> str:
+    # 512-byte log blocks and a small staging cap make the big tlm records
+    # wait for the drain
+    cfg = SimConfig(write_staging_cap=2048)
+    sim = Simulation(cfg=cfg, seed=5, manifest="/logs/\n/sensors/\n",
+                     policy=FLEET_HOSTS[host])
+    sim.vfs.files[SENSOR] = VFile(bytearray(range(256)) * 16, 512, False)
+    for name, *_ in FLEET:
+        sim.vfs.files[f"/logs/{name}.log"] = VFile(bytearray(), 512, False)
+    sim.add_host_task(period=100_000, budget=40_000)
+    outs = {}
+    for name, period, budget, prio, *shape in FLEET:
+        outs[name] = out = []
+        sim.spawn_enclave(
+            name, period, budget,
+            lambda rt, out=out, shape=shape: _fleet_body(rt, out, *shape),
+            env={INIT_SHM_ENV: "65536"}, priority=prio)
+    for t in range(10_000_000, 60_000_001, 10_000_000):
+        sim.run_until(t)  # several calls: waits must survive re-entry
+    return _digest(outs, [sim])
+
+
+def cases() -> dict:
+    out = {f"scenario:{p.stem}": (_scenario_case, p)
+           for p in sorted(SCENARIOS.glob("*.cfg"))}
+    out.update({f"bench:{m}": (_bench_case, m) for m in BENCH_MODES})
+    out.update({f"fleet:{h}": (_fleet_case, h) for h in FLEET_HOSTS})
+    return out
+
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digest(case, golden):
+    fn, arg = CASES[case]
+    assert fn(arg) == golden[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    digests = {name: fn(arg) for name, (fn, arg) in sorted(CASES.items())}
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS}")
