@@ -123,18 +123,26 @@ class RingHandle:
         The caller tag goes into the private table, never into shared memory;
         the published user_data is a fresh internal id. Returns that id as an
         opaque receipt (usable with retire()). Out-of-order submissions are
-        buffered and the tail is published over the contiguous prefix.
+        buffered and the tail is published over the contiguous prefix. An
+        untranslatable buffer raises and gives the reservation up.
         """
         slot = self._pending_slots.get(sid.seq, "missing")
         if slot is not None:
             raise StaleSqeId(f"reservation {sid.seq} not open")
         addr = args.addr
         if args.translate and addr:
-            addr = self.translate_addr(addr)
-            if args.len > 1:
-                end = self.translate_addr(args.addr + args.len - 1)
-                if end - addr != args.len - 1:
-                    raise Untranslatable("buffer straddles translation entries")
+            try:
+                addr = self.translate_addr(addr)
+                if args.len > 1:
+                    end = self.translate_addr(args.addr + args.len - 1)
+                    if end - addr != args.len - 1:
+                        raise Untranslatable(
+                            "buffer straddles translation entries")
+            except Untranslatable:
+                # an open reservation would block publishing every later one
+                del self._pending_slots[sid.seq]
+                self._open_reservations -= 1
+                raise
         internal = self._next_internal
         self._next_internal += 1
         self._table[internal] = _UserRecord(caller_tag, opcode)
@@ -318,3 +326,8 @@ class RingHandle:
     @property
     def parked_count(self) -> int:
         return len(self._parked)
+
+    @property
+    def unpublished_count(self) -> int:
+        """Reservations not yet published: unfilled, or filled behind one."""
+        return len(self._pending_slots)

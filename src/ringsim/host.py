@@ -240,6 +240,21 @@ class HostOs:
             self._scribble(now)
         return served
 
+    def quiet_until(self) -> int | None:
+        """After a slice that served nothing with workers pending: the first
+        instant at which another slice could act (a worker due, the poller's
+        idle deadline, the proxy kill), or None when any slice may act (each
+        scribbling slice draws from the rng; a pending wake is handled at
+        the next slice)."""
+        if self.policy.scribble_rate > 0 or self.pending_wake:
+            return None
+        until = self.workers[0][0]
+        if self.poller_awake:
+            until = min(until, self.idle_deadline)
+        if self.policy.kill_proxy_at >= 0 and self.proxy_alive:
+            until = min(until, self.policy.kill_proxy_at)
+        return until
+
     def _drain_wake_region(self) -> None:
         if self.wake_window is not None:
             count, _ = WAKE_FMT.unpack(self.wake_window.read(0, WAKE_FMT.size))

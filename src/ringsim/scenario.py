@@ -147,10 +147,7 @@ def _victim_factory(msg_path: str, expected: bytes, tau: int, fallback_at: int):
                     rt.detections += 1
                 yield ("compute", rt.cfg.poll_tick)
                 rt.pump()
-            if not done:
-                while rt.now() < fallback_at:
-                    yield ("compute", rt.cfg.poll_tick)
-                    rt.pump()
+            if not done:  # the loop above ends undone only at fallback_at
                 rt.device_tx(FALLBACK)
             while True:
                 yield ("yield",)

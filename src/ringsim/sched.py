@@ -4,6 +4,19 @@ Tasks are generator bodies that yield scheduling commands:
 
     ("compute", ns)  consume ns of budget/CPU (side effects in body code run
                      at the simulated instant the generator is resumed)
+    ("wait", tick, until)
+                     burn budget in `tick` units exactly like repeated
+                     ("compute", tick), but resume the body only at the end
+                     of the first tick that ends at or after `until` (never,
+                     for until=None). The wait also ends early: once the
+                     task has been descheduled (preempt or exhaust) and is
+                     dispatched again, or once run_until is entered again,
+                     the body resumes at the end of the tick in progress, or
+                     at once if a tick had just ended. Those are exactly the
+                     instants at which a body polling tick by tick could
+                     next see a change, since nothing else runs while it
+                     holds the one core. The body is sent the number of
+                     ticks burned.
     ("yield",)       forfeit the rest of this period's budget
 
 Each task gets `budget` of execution every `period`; admission enforces the
@@ -11,7 +24,9 @@ utilization sum, budget exhaustion forces preemption, replenishment happens
 exactly at period boundaries. Fixed-priority chooses the highest priority
 (ties: lower task id); EDF chooses the earliest deadline (ties: earlier
 admission). advance() is a pure function of scheduler state, so identical
-inputs replay identical traces.
+inputs replay identical traces. The earliest replenish instant of the live
+tasks is cached, so only slices that start at a period boundary scan the
+task list to replenish.
 """
 from __future__ import annotations
 
@@ -26,6 +41,10 @@ EDF = "edf"
 
 ENCLAVE = "enclave"
 HOST = "host"
+
+# how far a wait without `until` reaches; it always ends first at the
+# deschedule that budget exhaustion forces
+_FOREVER = 1 << 62
 
 
 @dataclass
@@ -52,6 +71,8 @@ class TaskControl:
     alive: bool = True
     started: bool = False
     cmd_left: int | None = None
+    wait_tick: int = 0           # tick of the wait in progress, 0 if none
+    wait_from: int = 0           # executed_total when that wait began
     executed_total: int = 0
     window_executed: int = 0
     gen: Iterator | None = None
@@ -75,6 +96,7 @@ class BudgetScheduler:
         # hook(now, task) fired at each replenish boundary, before reset
         self.on_replenish: Callable | None = None
         self.util = Fraction(0)
+        self._boundary: int | None = None  # min next_replenish of live tasks
 
     # --- admission / donation ---
 
@@ -98,6 +120,7 @@ class BudgetScheduler:
         self.tasks[name] = t
         self._order.append(t)
         self.util += u
+        self._refresh_boundary()
         return t
 
     def donate(self, parent_name: str, child_name: str, kind: str,
@@ -143,6 +166,7 @@ class BudgetScheduler:
         self.tasks[child_name] = t
         self._order.append(t)
         self.util += Fraction(budget, period)
+        self._refresh_boundary()
         return t
 
     # --- trace helpers ---
@@ -156,34 +180,42 @@ class BudgetScheduler:
 
     # --- core loop ---
 
+    def _refresh_boundary(self) -> None:
+        self._boundary = min((t.next_replenish for t in self._order),
+                             default=None)
+
     def _do_replenish(self) -> None:
+        if self._boundary is None or self.now < self._boundary:
+            return
+        now = self.now
+        boundary = None
         for t in self._order:
-            if t.alive and t.next_replenish <= self.now:
+            if t.next_replenish <= now:
                 if self.on_replenish is not None:
-                    self.on_replenish(self.now, t)
+                    self.on_replenish(now, t)
                 t.remaining = t.budget
                 t.yielded = False
                 t.window_executed = 0
                 t.deadline = t.next_replenish + t.period
                 t.next_replenish += t.period
                 self._emit(t, "replenish")
-
-    def _eligible(self, t: TaskControl) -> bool:
-        return t.alive and not t.yielded and t.remaining > 0
+            if boundary is None or t.next_replenish < boundary:
+                boundary = t.next_replenish
+        self._boundary = boundary
 
     def _pick(self) -> TaskControl | None:
+        # _order is in tid order, so strict comparisons break ties by tid
         best = None
-        best_key = None
-        for t in self._order:
-            if not self._eligible(t):
-                continue
-            if self.policy == FP:
-                key = (-t.priority, t.tid)
-            else:
-                key = (t.deadline, t.tid)
-            if best_key is None or key < best_key:
-                best = t
-                best_key = key
+        if self.policy == FP:
+            for t in self._order:
+                if not t.yielded and t.remaining > 0 and \
+                        (best is None or t.priority > best.priority):
+                    best = t
+        else:
+            for t in self._order:
+                if not t.yielded and t.remaining > 0 and \
+                        (best is None or t.deadline < best.deadline):
+                    best = t
         return best
 
     def _set_running(self, t: TaskControl | None) -> None:
@@ -194,6 +226,13 @@ class BudgetScheduler:
         self._running = t
         if t is not None:
             self._emit(t, "dispatch")
+            self._end_wait(t)
+
+    @staticmethod
+    def _end_wait(t: TaskControl) -> None:
+        """Cut a wait in progress down to the tick in progress."""
+        if t.wait_tick:
+            t.cmd_left %= t.wait_tick
 
     def _drop_running(self) -> None:
         # running task stopped by its own event (yield/exhaust/exit): the
@@ -202,6 +241,8 @@ class BudgetScheduler:
 
     def _exit_task(self, t: TaskControl) -> None:
         t.alive = False
+        self._order.remove(t)
+        self._refresh_boundary()
         self._emit(t, "exit")
         self.util -= Fraction(t.budget, t.period)
         d = t.donation
@@ -222,18 +263,29 @@ class BudgetScheduler:
             guard += 1
             if guard > 4096:
                 raise RuntimeError(f"task {t.name} spins on zero-cost commands")
+            if t.wait_tick:
+                value = (t.executed_total - t.wait_from) // t.wait_tick
+                t.wait_tick = 0
+            else:
+                value = self.now if t.started else None
+            t.started = True
             try:
-                if t.started:
-                    cmd = t.gen.send(self.now)
-                else:
-                    t.started = True
-                    cmd = next(t.gen)
+                cmd = t.gen.send(value)
             except StopIteration:
                 self._drop_running()
                 self._exit_task(t)
                 return False
             if cmd[0] == "compute":
                 t.cmd_left = cmd[1]
+            elif cmd[0] == "wait":
+                _, tick, until = cmd
+                if tick <= 0:
+                    raise ValueError(f"wait tick must be positive: {cmd!r}")
+                span = _FOREVER if until is None else until - self.now
+                # whole ticks up to the first tick end at or after `until`
+                t.cmd_left = tick * max(1, -(-span // tick))
+                t.wait_tick = tick
+                t.wait_from = t.executed_total
             elif cmd[0] == "yield":
                 t.yielded = True
                 t.cmd_left = None
@@ -244,34 +296,34 @@ class BudgetScheduler:
                 raise ValueError(f"unknown scheduling command {cmd!r}")
         return True
 
-    def _next_boundary(self) -> int | None:
-        nxt = None
-        for t in self._order:
-            if t.alive and (nxt is None or t.next_replenish < nxt):
-                nxt = t.next_replenish
-        return nxt
-
     def advance(self, dt: int) -> None:
         self.run_until(self.now + dt)
 
     def run_until(self, t_end: int) -> None:
+        # callers may change the world between calls (spawns, injected
+        # completions), so a wait in progress ends as on a re-dispatch
+        if self._running is not None:
+            self._end_wait(self._running)
         while self.now < t_end:
             self._do_replenish()
             task = self._pick()
             if task is None:
                 self._set_running(None)
-                nxt = self._next_boundary()
+                nxt = self._boundary
                 self.now = t_end if nxt is None else min(nxt, t_end)
                 continue
-            self._set_running(task)
-            if not self._ensure_command(task):
+            if task is not self._running:
+                self._set_running(task)
+            if not task.cmd_left and not self._ensure_command(task):
                 continue
-            nxt = self._next_boundary()
-            slice_end = min(t_end, self.now + task.remaining,
-                            self.now + task.cmd_left)
-            if nxt is not None:
-                slice_end = min(slice_end, nxt)
-            dt = slice_end - self.now
+            # the slice ends at the first of: run end, budget exhausted,
+            # command done, next replenish boundary
+            now = self.now
+            slice_end = min(t_end, now + task.remaining, now + task.cmd_left)
+            nxt = self._boundary
+            if nxt is not None and nxt < slice_end:
+                slice_end = nxt
+            dt = slice_end - now
             if dt > 0:
                 if self.record_timeline:
                     self.timeline.append((self.now, slice_end, task.name))

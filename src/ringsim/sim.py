@@ -143,6 +143,24 @@ class EnclaveRuntime:
         self.pool.run_deferred()
         return n
 
+    def poll_wait(self, until: int | None):
+        """Burn poll ticks until there may be news: `yield from` it.
+
+        While another pump() could not change anything (no deferred
+        continuation, nothing parked or unpublished, no completion backlog),
+        nothing can: no other task runs while this one holds the core. Then
+        the scheduler burns ticks without resuming the body, up to the first
+        tick end at or after `until` or the next deschedule. Otherwise this
+        is one plain tick, as in a busy-poll loop. Returns the ticks burned.
+        """
+        tick = self.cfg.poll_tick
+        h = self.handle
+        if self.pool.deferred_count or h.parked_count or \
+                h.unpublished_count or h.cq_backlog():
+            yield ("compute", tick)
+            return 1
+        return (yield ("wait", tick, until))
+
     def device_tx(self, payload: bytes) -> None:
         self.device.tx(self._sched.now, self.name, payload)
 
@@ -179,11 +197,20 @@ class Simulation:
                          priority)
 
     def _host_body(self):
+        host, step = self.host, self.cfg.host_step_cost
+        until = None
         while True:
-            yield ("compute", self.cfg.host_step_cost)
-            served = self.host.on_slice(self.sched.now)
-            if served == 0 and not self.host.workers:
-                yield ("yield",)
+            if until is None:
+                yield ("compute", step)
+            else:
+                yield ("wait", step, until)
+            served = host.on_slice(self.sched.now)
+            until = None
+            if served == 0:
+                if host.workers:
+                    until = host.quiet_until()
+                else:
+                    yield ("yield",)
 
     # --- enclave launch flow ---
 

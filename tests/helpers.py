@@ -162,13 +162,24 @@ class RefTask:
         self.yielded = False
         self.alive = True
         self.cmd_left = None
+        self.wait = None          # (tick, until) of the wait in progress
+        self.wait_ticks = 0
+        self.wait_ending = False  # descheduled or re-entered since it began
         self.executed_total = 0
         self.window_executed = 0
 
 
 class RefSched:
     """Tick-at-a-time reference. Scripts are finite lists of scheduling
-    commands; running off the end exits the task."""
+    commands; running off the end exits the task.
+
+    A ("wait", tick, until) runs as ("compute", tick) repeated. Whenever a
+    tick has ended and the task next gets the core (when a polling body
+    would run next), the wait ends if now >= until, or if the task was
+    dispatched again or run_until was entered since the wait began.
+    `starts` records (now, task, script index) as each command is taken
+    up, `waits` (now, task, script index, ticks) as each wait ends.
+    """
 
     def __init__(self, policy: str):
         assert policy in ("fp", "edf")
@@ -177,6 +188,8 @@ class RefSched:
         self.tasks: list[RefTask] = []
         self.trace: list[tuple[int, str, str]] = []
         self.ticks: list[tuple[int, str]] = []
+        self.starts: list[tuple[int, str, int]] = []
+        self.waits: list[tuple[int, str, int, int]] = []
         self._running: RefTask | None = None
 
     def admit(self, name, kind, period, budget, script, priority=0):
@@ -214,17 +227,32 @@ class RefSched:
         self._running = t
         if t is not None:
             self.trace.append((self.now, t.name, "dispatch"))
+            t.wait_ending = True
 
     def _ensure_command(self, t) -> bool:
         while t.cmd_left is None or t.cmd_left == 0:
+            if t.wait is not None:
+                tick, until = t.wait
+                t.wait_ticks += 1
+                if not t.wait_ending and (until is None or self.now < until):
+                    t.cmd_left = tick
+                    continue
+                self.waits.append((self.now, t.name, t.ip - 1, t.wait_ticks))
+                t.wait = None
             if t.ip >= len(t.script):
                 self._running = None
                 t.alive = False
                 self.trace.append((self.now, t.name, "exit"))
                 return False
             cmd = t.script[t.ip]
+            self.starts.append((self.now, t.name, t.ip))
             t.ip += 1
             if cmd[0] == "compute":
+                t.cmd_left = cmd[1]
+            elif cmd[0] == "wait":
+                t.wait = cmd[1:]
+                t.wait_ticks = 0
+                t.wait_ending = False
                 t.cmd_left = cmd[1]
             else:  # yield
                 t.yielded = True
@@ -235,6 +263,8 @@ class RefSched:
         return True
 
     def run_until(self, t_end: int):
+        if self._running is not None:
+            self._running.wait_ending = True
         while self.now < t_end:
             self._replenish()
             task = self._pick()
@@ -261,6 +291,19 @@ def script_gen(script):
     def body():
         for cmd in script:
             yield cmd
+    return body()
+
+
+def recorded_script_gen(sched, name, script, starts, waits):
+    """script_gen that logs like RefSched: (now, name, index) as each command
+    is taken up into `starts`, (now, name, index, ticks) as each wait ends
+    into `waits`."""
+    def body():
+        for i, cmd in enumerate(script):
+            starts.append((sched.now, name, i))
+            sent = yield cmd
+            if cmd[0] == "wait":
+                waits.append((sched.now, name, i, sent))
     return body()
 
 

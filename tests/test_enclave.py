@@ -185,6 +185,19 @@ def test_prep_translates_buffer_addresses():
         h.prep_and_submit(sid, 2, SqeArgs(addr=0x11FF0, len=64), 0)  # straddles
 
 
+def test_untranslatable_prep_gives_its_reservation_up():
+    _, h, host_sq, _ = _world()
+    sid = h.try_get_sqe()
+    with pytest.raises(Untranslatable):
+        h.prep_and_submit(sid, 2, SqeArgs(fd=3, addr=0x77000, len=16), 1)
+    for tag in range(2, 9):  # fills the 8-entry ring behind the failed one
+        h.prep_and_submit(h.try_get_sqe(), 2, SqeArgs(), tag)
+    assert len(host_sq.consume_batch(8)) == 7
+    assert h.try_get_sqe() is not None
+    with pytest.raises(StaleSqeId):
+        h.prep_and_submit(sid, 2, SqeArgs(), 9)  # the failed id stays spent
+
+
 # --- completion hardening ---
 
 def test_completion_roundtrip_and_tag():

@@ -7,7 +7,7 @@ import pytest
 from ringsim.errors import AdmissionRejected, InsufficientDonation
 from ringsim.sched import EDF, ENCLAVE, FP, HOST, BudgetScheduler
 
-from helpers import RefSched, expand_timeline, script_gen
+from helpers import RefSched, expand_timeline, recorded_script_gen, script_gen
 
 
 def test_admission_utilization_sum():
@@ -157,6 +157,73 @@ def test_traces_match_bruteforce_reference():
         assert real.trace == ref.trace, f"trial {trial} ({policy})"
         assert expand_timeline(real.timeline) == set(ref.ticks), \
             f"trial {trial} ({policy})"
+
+
+def _random_wait_taskset(rng, n, horizon):
+    tasks = []
+    for name, period, budget, prio, _ in _random_taskset(rng, n):
+        script = []
+        for _ in range(rng.randrange(1, 9)):
+            roll = rng.random()
+            if roll < 0.3:
+                script.append(("compute", rng.randrange(1, 12)))
+            elif roll < 0.85:
+                until = None if rng.random() < 0.2 \
+                    else rng.randrange(0, horizon + 10)
+                script.append(("wait", rng.randrange(1, 6), until))
+            else:
+                script.append(("yield",))
+        tasks.append((name, period, budget, prio, script))
+    return tasks
+
+
+def test_wait_matches_tick_by_tick_reference():
+    rng = random.Random(5151)
+    waits_ended = 0
+    for trial in range(80):
+        policy = FP if trial % 2 == 0 else EDF
+        horizon = rng.randrange(50, 300)
+        tasks = _random_wait_taskset(rng, rng.randrange(1, 6), horizon)
+        real = BudgetScheduler(policy)
+        real.record_timeline = True
+        ref = RefSched(policy)
+        starts, waits = [], []
+        for name, period, budget, prio, script in tasks:
+            real.admit(name, ENCLAVE, period, budget,
+                       recorded_script_gen(real, name, script, starts, waits),
+                       priority=prio)
+            ref.admit(name, ENCLAVE, period, budget, script, priority=prio)
+        # re-entering run_until ends waits in progress; cut the run up
+        cuts = sorted(rng.sample(range(1, horizon), rng.randrange(0, 4)))
+        for t in cuts + [horizon]:
+            real.run_until(t)
+            ref.run_until(t)
+        what = f"trial {trial} ({policy})"
+        assert real.trace == ref.trace, what
+        assert expand_timeline(real.timeline) == set(ref.ticks), what
+        assert starts == ref.starts, what
+        assert waits == ref.waits, what
+        waits_ended += len(waits)
+    assert waits_ended > 200
+
+
+def test_wait_sends_ticks_and_rejects_bad_tick():
+    s = BudgetScheduler(FP)
+    got = []
+
+    def body():
+        for cmd in (("wait", 3, 10),    # 4 ticks: the first to end >= 10
+                    ("wait", 5, 0),     # until already passed: one tick
+                    ("wait", 2, None)): # exhausts at 30 in its 7th tick
+            ticks = yield cmd
+            got.append((s.now, ticks))
+        yield ("wait", 0, None)
+
+    s.admit("w", ENCLAVE, 40, 30, body())
+    with pytest.raises(ValueError):
+        s.run_until(80)
+    # the 7th tick ends after the re-dispatch at 40
+    assert got == [(12, 4), (17, 1), (41, 7)]
 
 
 def test_trace_replay_determinism():

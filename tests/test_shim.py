@@ -2,12 +2,16 @@
 import hashlib
 import random
 
-from ringsim.config import EAGAIN, EINTR, ENOENT, ETIMEDOUT, INIT_SHM_ENV
+import pytest
+
+from ringsim.config import (EAGAIN, EINTR, ENOENT, ETIMEDOUT, INIT_SHM_ENV,
+                            SimConfig)
 from ringsim.enclave import SqeArgs
-from ringsim.host import AdversaryPolicy
+from ringsim.host import AdversaryPolicy, HostOs
 from ringsim import ring as ringmod
 from ringsim.promise import async_read
 from ringsim.shim import PosixShim, getpid, sync_call
+from ringsim.sim import EnclaveRuntime
 
 from helpers import app_sim, spawn_app
 
@@ -239,3 +243,99 @@ def test_delayed_reads_outlive_a_full_table_of_later_calls():
     assert out["first"] == _pattern(b"/data/f", 512)
     assert out["at"] < 90_000_000
 
+
+# --- scheduler-level waits against polling every tick ---
+
+WAIT_HOSTS = {
+    "honest": AdversaryPolicy(),
+    "delay": AdversaryPolicy(per_op={"read": ("delay", 900_000),
+                                     "write": ("delay", 400_000)}),
+    "deny": AdversaryPolicy(per_op={"read": ("deny",)}),
+    "flood": AdversaryPolicy(default=("flood", 30)),
+    "never_wake": AdversaryPolicy(never_wake=True),
+    "scribble": AdversaryPolicy(scribble_rate=0.3),
+    "kill": AdversaryPolicy(kill_proxy_at=3_000_000),
+}
+
+
+def _wait_body(rt, out, timeout):
+    sh = PosixShim(rt, timeout_ns=timeout)
+    fd = yield from sh.open("/data/f")
+    out.append(("open", rt.now(), fd))
+    for i in range(12 if fd >= 0 else 0):
+        alarm = rt.now() + 300_000 if i % 4 == 3 else None
+        got = yield from sync_call(rt, async_read(rt, fd, 64, 64 * i),
+                                   timeout, alarm_at=alarm)
+        n = yield from sh.write(fd, bytes([i]) * 700)
+        out.append((i, rt.now(), got if isinstance(got, int) else bytes(got),
+                    n))
+        if i % 5 == 4:
+            out.append(("flush", rt.now(), (yield from sh.flush(fd))))
+    rt.device_tx(b"%s done at %d" % (rt.name.encode(), rt.now()))
+    while True:
+        yield ("yield",)
+
+
+def _counted(body, counter):
+    value = None
+    while True:
+        counter[0] += 1
+        try:
+            cmd = body.send(value)
+        except StopIteration:
+            return
+        value = yield cmd
+
+
+def _run_wait_world(policy):
+    # two events per pump leave junk floods a backlog between pumps
+    sim = app_sim(MANIFEST, policy=policy, seed=3,
+                  cfg=SimConfig(write_staging_cap=2048, max_events=2))
+    outs, resumes = {}, [0]
+    for name, period, budget, prio, timeout in (
+            ("fast", 100_000, 20_000, 7, 400_000),
+            ("slow", 300_000, 60_000, 4, None)):
+        outs[name] = out = []
+        sim.spawn_enclave(
+            name, period, budget,
+            lambda rt, out=out, t=timeout: _counted(_wait_body(rt, out, t),
+                                                    resumes),
+            env=ENV, priority=prio)
+    for t in (4_000_000, 9_000_000, 20_000_000):
+        sim.run_until(t)
+    logs = {n: rt.handle.delivered_log for n, rt in sim.runtimes.items()}
+    return (sim.sched.trace, sim.host.events, sim.device.tx_log, outs,
+            logs), resumes[0]
+
+
+def _poll_every_tick(rt, until):
+    yield ("compute", rt.cfg.poll_tick)
+    return 1
+
+
+@pytest.mark.parametrize("host", sorted(WAIT_HOSTS))
+def test_waits_match_polling_every_tick(host, monkeypatch):
+    """The same bodies with every wait turned back into a loop that pumps
+    each poll tick and a host that runs every step must leave the same
+    trace, host events, device output, deliveries and return values."""
+    waited, wait_resumes = _run_wait_world(WAIT_HOSTS[host])
+    monkeypatch.setattr(EnclaveRuntime, "poll_wait", _poll_every_tick)
+    monkeypatch.setattr(HostOs, "quiet_until", lambda self: None)
+    polled, poll_resumes = _run_wait_world(WAIT_HOSTS[host])
+    assert waited == polled
+    assert wait_resumes * 3 < poll_resumes
+
+
+def test_never_wake_open_resumes_once_or_twice_per_period():
+    # the default timeout is unbounded, so the open never returns; but the
+    # body is resumed about once per period, not once per poll tick
+    resumes = [0]
+    sim = app_sim(MANIFEST, policy=AdversaryPolicy(never_wake=True))
+
+    def body(rt):
+        return _counted(PosixShim(rt).open("/data/f"), resumes)
+
+    sim.spawn_enclave("app", 100_000, 50_000, body, env=ENV, priority=5)
+    sim.run_until(2_000_000_000)
+    periods = 2_000_000_000 // 100_000
+    assert resumes[0] <= 2 * periods
