@@ -13,7 +13,7 @@ from .config import DEEP_TRANSLATE_MAX, PAGE_SIZE, SIZE_CLASSES, SimConfig, \
     step_bounds
 from .device import SecureSerialDevice
 from .enclave import (Completion, RingHandle, SharedBlock, SqeArgs, SqeId,
-                      TranslationEntry, cqe_get_data64, cqe_get_result)
+                      TranslationEntry)
 from .errors import *  # noqa: F401,F403 - stable error vocabulary
 from .host import AdversaryPolicy, HostOs, VirtualFs
 from .promise import (Promise, PromisePool, async_open, async_path_op,

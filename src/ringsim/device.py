@@ -1,13 +1,9 @@
 """Trusted serial port: the one output path the host cannot touch.
 
 Tasks write result bytes here with a trusted timestamp; availability checks
-read the log back instead of trusting anything host-side. The rx queue
-supports non-blocking reads so a task polling for operator input never
-blocks on the device.
+read the log back instead of trusting anything host-side.
 """
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import DeviceFull
 
@@ -17,20 +13,12 @@ class SecureSerialDevice:
         self.tx_capacity = tx_capacity
         self.tx_log: list[tuple[int, str, bytes]] = []  # (t, sender, payload)
         self._tx_bytes = 0
-        self._rx: deque[bytes] = deque()
 
     def tx(self, now: int, sender: str, payload: bytes) -> None:
         if self._tx_bytes + len(payload) > self.tx_capacity:
             raise DeviceFull(f"tx log over {self.tx_capacity} bytes")
         self.tx_log.append((now, sender, bytes(payload)))
         self._tx_bytes += len(payload)
-
-    def feed_rx(self, payload: bytes) -> None:
-        self._rx.append(bytes(payload))
-
-    def rx_nonblocking(self) -> bytes | None:
-        """One queued chunk, or None right away when idle."""
-        return self._rx.popleft() if self._rx else None
 
     def transmissions_before(self, deadline: int) -> list[tuple[int, str, bytes]]:
         return [e for e in self.tx_log if e[0] <= deadline]

@@ -53,14 +53,6 @@ class Completion(NamedTuple):
     opcode: int
 
 
-def cqe_get_result(c: Completion) -> int:
-    return c.result
-
-
-def cqe_get_data64(c: Completion) -> int:
-    return c.tag
-
-
 class _UserRecord(NamedTuple):
     tag: int
     opcode: int
@@ -229,9 +221,6 @@ class RingHandle:
         self._bases.insert(i, entry.enclave_base)
         self._entries_list.insert(i, entry)
 
-    def translation_table(self) -> list[TranslationEntry]:
-        return list(self._entries_list)
-
     def translate_addr(self, enclave_addr: int) -> int:
         i = bisect.bisect_right(self._bases, enclave_addr) - 1
         if i >= 0:
@@ -269,11 +258,7 @@ class RingHandle:
 
     # --- mapped-block acquisition (drives the host grant flow) ---
 
-    def fresh_region_id(self) -> int:
-        self._region_counter += 1
-        return self._region_counter
-
-    def enclave_mmap(self, size: int, region_id: int | None = None):
+    def enclave_mmap(self, size: int):
         """Request a new shared block from the host; promise of SharedBlock.
 
         Submits the grant request; when the completion carries the proxy base,
@@ -285,8 +270,8 @@ class RingHandle:
         if size <= 0:
             raise ValueError("mmap size must be positive")
         rsize = ((size + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
-        if region_id is None:
-            region_id = self.fresh_region_id()
+        self._region_counter += 1
+        region_id = self._region_counter
         raw = self.pool.create()
         args = SqeArgs(fd=0, addr=0, len=rsize, off=region_id, translate=False)
         self.submit_or_park(ringmod.OP_ENCLAVE_MMAP, args, raw.tag)
@@ -297,7 +282,7 @@ class RingHandle:
         if proxy_base < 0:
             raise Untranslatable(f"host refused grant: errno {-proxy_base}")
         enclave_base = self._kernel.attach_shared(self._space, region_id,
-                                                  rsize, proxy_base)
+                                                  rsize)
         entry = TranslationEntry(enclave_base, proxy_base, rsize)
         self.insert_translation(entry)
         window = self._space.access(enclave_base, rsize, "w")

@@ -36,7 +36,7 @@ class RegionIdBusy(RegistrationError):
 
 
 class NotValidated(RingSimError):
-    """Mapping or revocation attempted in the wrong registration state."""
+    """Mapping attempted in the wrong registration state."""
 
 
 class VirtualRangeBusy(RingSimError):
@@ -75,10 +75,6 @@ class RegistrationRejected(RingSimError):
 
 class AdmissionRejected(RingSimError):
     """Task set utilization would exceed capacity."""
-
-
-class InsufficientDonation(RingSimError):
-    pass
 
 
 # --- arenas / promises ---

@@ -192,7 +192,6 @@ class HostOs:
         self.idle_deadline = cfg.poller_idle_timeout
         self.pending_wake = False
         self.proxy_alive = True
-        self.cq_drops = 0
         self.serviced = 0
         self.events: list[tuple] = []
         self.wake_window = None            # reader view of the wake region
@@ -316,7 +315,6 @@ class HostOs:
             self.events.append(("cqe", eid, cqe.user_data, cqe.result)
                                if note is None else note)
             return True
-        self.cq_drops += 1
         self.events.append(("cqe_dropped", eid, cqe.user_data))
         return False
 

@@ -468,8 +468,7 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
     rid = 900_001
     sim.authority.register_shared(pages, rid, 4 * 4096)
     pm = sim.authority.map_region(sim.host.proxy_space, rid)
-    enclave_base = sim.kernel.attach_shared(handle._space, rid, 4 * 4096,
-                                            pm.base)
+    enclave_base = sim.kernel.attach_shared(handle._space, rid, 4 * 4096)
     from .enclave import TranslationEntry
     handle.insert_translation(TranslationEntry(enclave_base, pm.base, 4 * 4096))
     block_win = handle._space.access(enclave_base, 4 * 4096, "w")

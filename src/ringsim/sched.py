@@ -30,11 +30,11 @@ task list to replenish.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .errors import AdmissionRejected, InsufficientDonation
+from .errors import AdmissionRejected
 
 FP = "fp"
 EDF = "edf"
@@ -48,14 +48,6 @@ _FOREVER = 1 << 62
 
 
 @dataclass
-class DonationRecord:
-    donor: str
-    child: str
-    budget_share: int
-    quota_share: int
-
-
-@dataclass
 class TaskControl:
     tid: int
     name: str
@@ -63,7 +55,6 @@ class TaskControl:
     period: int
     budget: int
     priority: int = 0
-    mem_quota: int = 0
     remaining: int = 0
     next_replenish: int = 0
     deadline: int = 0
@@ -76,7 +67,6 @@ class TaskControl:
     executed_total: int = 0
     window_executed: int = 0
     gen: Iterator | None = None
-    donation: DonationRecord | None = None
 
 
 class BudgetScheduler:
@@ -98,10 +88,10 @@ class BudgetScheduler:
         self.util = Fraction(0)
         self._boundary: int | None = None  # min next_replenish of live tasks
 
-    # --- admission / donation ---
+    # --- admission ---
 
     def admit(self, name: str, kind: str, period: int, budget: int,
-              body: Iterator, priority: int = 0, mem_quota: int = 0) -> TaskControl:
+              body: Iterator, priority: int = 0) -> TaskControl:
         """Admit a task iff the utilization sum stays within one core."""
         if period <= 0 or budget <= 0 or budget > period:
             raise AdmissionRejected(f"bad parameters period={period} budget={budget}")
@@ -112,7 +102,7 @@ class BudgetScheduler:
         if name in self.tasks:
             raise AdmissionRejected(f"duplicate task name {name}")
         t = TaskControl(self._next_tid, name, kind, period, budget,
-                        priority, mem_quota, gen=body)
+                        priority, gen=body)
         self._next_tid += 1
         t.remaining = budget
         t.next_replenish = self.now + period
@@ -120,52 +110,6 @@ class BudgetScheduler:
         self.tasks[name] = t
         self._order.append(t)
         self.util += u
-        self._refresh_boundary()
-        return t
-
-    def donate(self, parent_name: str, child_name: str, kind: str,
-               period: int, budget: int, body: Iterator,
-               budget_share: int, quota_share: int = 0,
-               priority: int = 0) -> TaskControl:
-        """Carve a child's budget out of the parent's.
-
-        The donated utilization (budget_share over the parent's period) must
-        cover the child's own utilization, so the admitted sum never grows.
-        Budget and quota return to the donor on clean child exit.
-        """
-        parent = self.tasks.get(parent_name)
-        if parent is None or not parent.alive:
-            raise InsufficientDonation(f"no live donor {parent_name}")
-        if budget_share <= 0 or parent.budget < budget_share:
-            raise InsufficientDonation(
-                f"{parent_name} budget {parent.budget} < share {budget_share}")
-        if parent.remaining < budget_share:
-            raise InsufficientDonation(
-                f"{parent_name} remaining {parent.remaining} < share {budget_share}")
-        if period <= 0:
-            period = parent.period
-        if budget <= 0:
-            budget = budget_share
-        if Fraction(budget, period) > Fraction(budget_share, parent.period):
-            raise InsufficientDonation(
-                "child utilization exceeds the donated share")
-        if child_name in self.tasks:
-            raise InsufficientDonation(f"duplicate task name {child_name}")
-        donated_u = Fraction(budget_share, parent.period)
-        parent.budget -= budget_share
-        parent.remaining -= budget_share
-        self.util -= donated_u
-        t = TaskControl(self._next_tid, child_name, kind, period, budget,
-                        priority, quota_share, gen=body)
-        self._next_tid += 1
-        t.remaining = budget
-        t.next_replenish = self.now + period
-        t.deadline = self.now + period
-        t.donation = DonationRecord(parent_name, child_name, budget_share,
-                                    quota_share)
-        self.tasks[child_name] = t
-        self._order.append(t)
-        self.util += Fraction(budget, period)
         self._refresh_boundary()
         return t
 
@@ -245,15 +189,6 @@ class BudgetScheduler:
         self._refresh_boundary()
         self._emit(t, "exit")
         self.util -= Fraction(t.budget, t.period)
-        d = t.donation
-        if d is not None:
-            donor = self.tasks.get(d.donor)
-            if donor is not None and donor.alive:
-                donor.budget += d.budget_share
-                donor.remaining = min(donor.remaining + d.budget_share,
-                                      donor.budget)
-                self.util -= Fraction(donor.budget - d.budget_share, donor.period)
-                self.util += Fraction(donor.budget, donor.period)
 
     def _ensure_command(self, t: TaskControl) -> bool:
         """Resume the body until it owes compute time. False when the task

@@ -154,7 +154,9 @@ class PosixShim:
     def write(self, fd: int, data: bytes):
         """Stage data; submit whole blocks as they fill. Returns len(data)
         right away unless the file is poisoned or staging hits its cap and
-        the drain times out."""
+        the drain times out. Staging drains, its partial tail included,
+        until data fits under the cap or nothing is staged, so one write
+        larger than the cap is staged whole and may exceed it."""
         f = self._files[fd]
         self.rt.pump()  # keeps the staged-chunk chain moving between waits
         if f.error:
@@ -170,8 +172,8 @@ class PosixShim:
             return r
         cap = self.rt.cfg.write_staging_cap
         waited = 0
-        while len(f.staged) + len(data) > cap:
-            self._maybe_submit(f)
+        while f.staged and len(f.staged) + len(data) > cap:
+            self._maybe_submit(f, tail=len(f.staged) < f.block_size)
             waited += yield from self._drain_wait(waited)
             self.rt.pump()
             if f.error:

@@ -36,7 +36,6 @@ NORMAL = "normal"
 PENDING = "pending"
 VALIDATED = "validated"
 MAPPED = "mapped"
-REVOKED = "revoked"
 
 READ = "r"
 WRITE = "w"
@@ -137,15 +136,6 @@ class PageAllocTable:
 
     def credit(self, owner: str, n: int) -> None:
         self.used[owner] = self.used.get(owner, 0) - n
-
-    def transfer_quota(self, src: str, dst: str, pages: int) -> None:
-        limit = self.quotas.get(src)
-        if limit is None:
-            raise QuotaExceeded(f"{src} has no finite quota to donate from")
-        if limit - self.used.get(src, 0) < pages:
-            raise QuotaExceeded(f"{src} cannot spare {pages} pages")
-        self.quotas[src] = limit - pages
-        self.quotas[dst] = self.quotas.get(dst, 0) + pages
 
 
 class MemoryWindow:
@@ -359,8 +349,7 @@ class MemoryAuthority:
         size equals the expected size. Rejection raises before any state is
         touched, leaving the authority bit-identical.
         """
-        if region_id in self.registrations and \
-                self.registrations[region_id].state != REVOKED:
+        if region_id in self.registrations:
             raise RegionIdBusy(f"region {region_id} already registered")
         seen: set[int] = set()
         for pid in pages:
@@ -381,17 +370,10 @@ class MemoryAuthority:
         self.registrations[region_id] = reg
         return reg
 
-    def revoke_registration(self, region_id: int) -> None:
-        """Withdraw a validated grant that was never mapped anywhere."""
-        reg = self.registrations.get(region_id)
-        if reg is None or reg.state != VALIDATED:
-            raise NotValidated(f"region {region_id} not revocable")
-        reg.state = REVOKED
-
     def map_region(self, space: AddressSpace, region_id: int,
                    base: int | None = None, perms: str = "rw") -> Mapping:
         """Map a validated grant. The same region may enter several spaces
-        (that is what makes it shared); only pending/revoked grants refuse."""
+        (that is what makes it shared); only pending grants refuse."""
         reg = self.registrations.get(region_id)
         if reg is None or reg.state not in (VALIDATED, MAPPED):
             raise NotValidated(f"region {region_id} not in a mappable state")
@@ -401,21 +383,6 @@ class MemoryAuthority:
         space.add_mapping(m)
         reg.state = MAPPED
         return m
-
-    # --- bus-level probe (physical path, gated by the world filter) ---
-
-    def bus_probe(self, world: str, page_id: int, offset: int, n: int,
-                  mode: str = READ) -> bytes:
-        info = self.table.entries.get(page_id)
-        if info is None:
-            raise BusFault(f"probe of unallocated page {page_id}")
-        if world == NORMAL and info.world == TRUSTED:
-            raise BusFault(f"normal-world probe of trusted page {page_id}")
-        if offset < 0 or offset + n > PAGE_SIZE:
-            raise BusFault("probe outside page")
-        if mode == WRITE:
-            raise BusFault("bus probe is read-only in this model")
-        return bytes(self.phys[page_id][offset:offset + n])
 
     # --- state digest for atomicity checks ---
 

@@ -4,8 +4,7 @@ A Simulation owns one memory authority, one untrusted host task, one trusted
 serial device, and any number of enclave tasks. Spawning an enclave walks the
 full launch flow: private image pages, ring-region grant validation, ring
 construction on both sides, pool prefill from the launch environment, and
-scheduler admission (optionally funded by a donor task's budget and page
-quota).
+scheduler admission.
 """
 from __future__ import annotations
 
@@ -23,6 +22,9 @@ from .ring import (CQE_SIZE, SQE_SIZE, WAKE_FMT, cq_ring_attach,
                    sq_ring_init)
 from .sched import ENCLAVE, FP, HOST, BudgetScheduler
 from .shm import MemoryAuthority, NORMAL, TRUSTED
+
+# page quota of each enclave: its image, private pages and shared grants
+ENCLAVE_QUOTA_PAGES = 512
 
 
 class TrustedKernel:
@@ -63,15 +65,14 @@ class TrustedKernel:
         self._wake_window.write(0, WAKE_FMT.pack(self._wake_count, ordinal))
         self.host.notify_enter()
 
-    def attach_shared(self, space, region_id: int, rsize: int,
-                      proxy_base: int) -> int:
+    def attach_shared(self, space, region_id: int, rsize: int) -> int:
         """Map a host-registered grant into an enclave space.
 
         The registration must exist, be in a mappable state, and match the
         size the enclave asked for; otherwise the attach is refused and
-        nothing changes. The proxy base is recorded by the caller for
-        submission-time translation but is never trusted for validation:
-        a host lying about its own mapping only corrupts its own view.
+        nothing changes. The proxy base the host claims for the grant plays
+        no part here: a host lying about its own mapping only corrupts its
+        own view.
         """
         reg = self.authority.registrations.get(region_id)
         if reg is None:
@@ -221,9 +222,7 @@ class Simulation:
 
     def spawn_enclave(self, name: str, period: int, budget: int,
                       body_factory: Callable, env: dict | None = None,
-                      priority: int = 0, mem_quota_pages: int = 512,
-                      donor: str | None = None, budget_share: int = 0,
-                      quota_share_pages: int = 0) -> EnclaveRuntime:
+                      priority: int = 0) -> EnclaveRuntime:
         """Full launch: image pages, ring grants, pools, admission.
 
         body_factory(runtime) must return the task body generator. Grant
@@ -231,10 +230,7 @@ class Simulation:
         authority untouched.
         """
         cfg = self.cfg
-        if donor is not None and quota_share_pages:
-            self.authority.table.transfer_quota(donor, name, quota_share_pages)
-        else:
-            self.authority.table.set_quota(name, mem_quota_pages)
+        self.authority.table.set_quota(name, ENCLAVE_QUOTA_PAGES)
         space = self.authority.create_space(name, TRUSTED, base_hint=0x100000)
         image = self.authority.alloc_pages(4, name, TRUSTED, "image")
         self.authority.map_private(space, image)
@@ -250,8 +246,8 @@ class Simulation:
         self.authority.register_shared(sq_pages, sq_rid, sq_bytes)
         self.authority.register_shared(cq_pages, cq_rid, cq_bytes)
 
-        sq_base = self.kernel.attach_shared(space, sq_rid, sq_bytes, 0)
-        cq_base = self.kernel.attach_shared(space, cq_rid, cq_bytes, 0)
+        sq_base = self.kernel.attach_shared(space, sq_rid, sq_bytes)
+        cq_base = self.kernel.attach_shared(space, cq_rid, cq_bytes)
         sq_win = space.access(sq_base, sq_bytes, "w")
         cq_win = space.access(cq_base, cq_bytes, "w")
         # trusted side zeroes both headers; a pre-scribbled header can then
@@ -276,11 +272,7 @@ class Simulation:
         rt = EnclaveRuntime(name, handle, pool, ArenaPool(handle, cfg),
                             self.sched, self.kernel, cfg, self.device)
         body = body_factory(rt)
-        if donor is not None:
-            self.sched.donate(donor, name, ENCLAVE, period, budget, body,
-                              budget_share, quota_share_pages, priority)
-        else:
-            self.sched.admit(name, ENCLAVE, period, budget, body, priority)
+        self.sched.admit(name, ENCLAVE, period, budget, body, priority)
         rt.arena_pool.prefill(env or {})
         self.kernel.ring_enter(name)
         self.runtimes[name] = rt

@@ -1,4 +1,4 @@
-"""Trusted serial device: append-only log, bounded capacity, rx queue."""
+"""Trusted serial device: append-only log, bounded capacity."""
 import pytest
 
 from ringsim.device import SecureSerialDevice
@@ -26,16 +26,6 @@ def test_capacity_enforced_across_messages():
     d.tx(1, "a", b"12345")
     with pytest.raises(DeviceFull):
         d.tx(2, "a", b"x")
-
-
-def test_rx_fifo_nonblocking():
-    d = SecureSerialDevice()
-    assert d.rx_nonblocking() is None
-    d.feed_rx(b"first")
-    d.feed_rx(b"second")
-    assert d.rx_nonblocking() == b"first"
-    assert d.rx_nonblocking() == b"second"
-    assert d.rx_nonblocking() is None
 
 
 def test_transmissions_before_deadline():

@@ -1,10 +1,10 @@
-"""Budget scheduler: admission, isolation, donation, reference equivalence."""
+"""Budget scheduler: admission, isolation, reference equivalence."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from ringsim.errors import AdmissionRejected, InsufficientDonation
+from ringsim.errors import AdmissionRejected
 from ringsim.sched import EDF, ENCLAVE, FP, HOST, BudgetScheduler
 
 from helpers import RefSched, expand_timeline, recorded_script_gen, script_gen
@@ -86,35 +86,6 @@ def test_zero_cost_spin_guard():
     s.admit("spin", ENCLAVE, 10, 5, script_gen([("compute", 0)] * 5000))
     with pytest.raises(RuntimeError):
         s.run_until(1)
-
-
-def test_donation_carves_and_returns():
-    s = BudgetScheduler(FP)
-    s.admit("parent", ENCLAVE, 20, 10, script_gen([("compute", 10 ** 9)]))
-    child = s.donate("parent", "child", ENCLAVE, 0, 0,
-                     script_gen([("compute", 1)]), budget_share=4,
-                     priority=5)
-    parent = s.tasks["parent"]
-    assert parent.budget == 6 and child.budget == 4
-    assert child.period == 20            # inherits the donor period
-    assert s.util == Fraction(1, 2)      # carving never grows the sum
-    with pytest.raises(InsufficientDonation):
-        s.donate("parent", "kid2", ENCLAVE, 0, 0, script_gen([]),
-                 budget_share=11)
-    s.run_until(5)                       # child exits after 1 unit
-    assert not child.alive
-    assert parent.budget == 10           # share returned on clean exit
-    assert s.util == Fraction(1, 2)
-
-
-def test_donation_rejects_oversubscribed_child():
-    s = BudgetScheduler(FP)
-    s.admit("p", ENCLAVE, 20, 10, script_gen([("compute", 10 ** 9)]))
-    with pytest.raises(InsufficientDonation):
-        # share covers 4/20 of a core, child asks for 5/20
-        s.donate("p", "c", ENCLAVE, 20, 5, script_gen([]), budget_share=4)
-    with pytest.raises(InsufficientDonation):
-        s.donate("ghost", "c", ENCLAVE, 0, 0, script_gen([]), budget_share=1)
 
 
 def _random_taskset(rng, n):

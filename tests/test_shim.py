@@ -9,7 +9,7 @@ from ringsim.config import (EAGAIN, EINTR, ENOENT, ETIMEDOUT, INIT_SHM_ENV,
 from ringsim.enclave import SqeArgs
 from ringsim.host import AdversaryPolicy, HostOs
 from ringsim import ring as ringmod
-from ringsim.promise import async_read
+from ringsim.promise import async_open, async_read, async_write
 from ringsim.shim import PosixShim, getpid, sync_call
 from ringsim.sim import EnclaveRuntime
 
@@ -339,3 +339,94 @@ def test_never_wake_open_resumes_once_or_twice_per_period():
     sim.run_until(2_000_000_000)
     periods = 2_000_000_000 // 100_000
     assert resumes[0] <= 2 * periods
+
+
+# --- write staging under a small cap ---
+
+@pytest.mark.parametrize("size", [700, 3000])
+def test_capped_staging_drains_partial_and_oversize_writes(size):
+    """With staging capped at 2 KiB on a 4 KiB-block file, the drain must
+    submit a tail shorter than one block (700-byte writes) and stage a
+    write larger than the cap whole (3000-byte writes), not time out."""
+    sim = app_sim(MANIFEST, cfg=SimConfig(write_staging_cap=2048))
+
+    def body(rt, out):
+        sh = PosixShim(rt, timeout_ns=1_500_000)
+        fd = yield from sh.open("/data/new", create=True)
+        out["w"] = []
+        for i in range(4):
+            out["w"].append((yield from sh.write(fd, bytes([i + 1]) * size)))
+        out["rc"] = yield from sh.close(fd)
+        out["done"] = True
+
+    _, out = spawn_app(sim, body, env=ENV)
+    sim.run_until(30_000_000)
+    assert out.get("done"), out
+    assert out["w"] == [size] * 4 and out["rc"] == 0
+    assert bytes(sim.vfs.files["/data/new"].data) == \
+        b"".join(bytes([i + 1]) * size for i in range(4))
+
+
+@pytest.mark.parametrize("cap", [1024, 2048, 4096])
+def test_small_cap_buffered_equals_direct(cap):
+    """Random write/flush sequences, some writes larger than the cap, on
+    1 KiB- and 4 KiB-block files: buffered and direct per-op writes leave
+    the same bytes, and no call times out on an honest host."""
+    rng = random.Random(cap)
+    seqs = []
+    for _ in range(40):
+        seqs.append([None if rng.random() < 0.2 else
+                     rng.randbytes(rng.randrange(1, 3 * cap))
+                     for _ in range(rng.randrange(2, 8))])
+    files = "".join(f"/{d}/f{i} 0 {1024 if i % 2 else 4096} 0\n"
+                    for i in range(len(seqs)) for d in "ab")
+    sim = app_sim("/a/\n/b/\n" + files, cfg=SimConfig(write_staging_cap=cap))
+    timeout = 50_000_000
+
+    def buffered(rt, out):
+        sh = PosixShim(rt, timeout_ns=timeout)
+        for i, ops in enumerate(seqs):
+            fd = yield from sh.open(f"/a/f{i}")
+            out["r"].append(fd)
+            for op in ops:
+                if op is None:
+                    out["r"].append((yield from sh.flush(fd)))
+                else:
+                    out["r"].append((yield from sh.write(fd, op)))
+            out["r"].append((yield from sh.close(fd)))
+        out["done"] = True
+
+    def direct(rt, out):
+        for i, ops in enumerate(seqs):
+            fd = yield from sync_call(
+                rt, async_open(rt, f"/b/f{i}".encode(), 0), timeout)
+            out["r"].append(fd)
+            pos = 0
+            for op in [op for op in ops if op is not None]:
+                r = yield from sync_call(rt, async_write(rt, fd, op, pos),
+                                         timeout)
+                out["r"].append(r)
+                pos += len(op)
+            out["r"].append((yield from sync_call(
+                rt, rt.submit_async(ringmod.OP_CLOSE,
+                                    SqeArgs(fd=fd, translate=False)),
+                timeout)))
+        out["done"] = True
+
+    env = {INIT_SHM_ENV: "262144"}
+    outs = []
+    for name, body in (("buf", buffered), ("raw", direct)):
+        _, out = spawn_app(sim, body, env=env, name=name, budget=25_000)
+        out["r"] = []
+        outs.append(out)
+    for _ in range(200):
+        if all(out.get("done") for out in outs):
+            break
+        sim.run_for(50_000_000)
+    assert all(out.get("done") for out in outs)
+    for out in outs:
+        assert all(r >= 0 for r in out["r"]), out["r"]   # no -ETIMEDOUT
+    for i, ops in enumerate(seqs):
+        want = b"".join(op for op in ops if op is not None)
+        assert bytes(sim.vfs.files[f"/a/f{i}"].data) == want, f"buffered {i}"
+        assert bytes(sim.vfs.files[f"/b/f{i}"].data) == want, f"direct {i}"

@@ -1,9 +1,8 @@
-"""Memory world tests: page table, grants, windows, and the bus filter.
+"""Memory world tests: page table, grants, windows, and the world filter.
 
 The interesting assertions are oracle-shaped: registration validation is
-replayed against a reference checker, allocation is audited with a
-reference ownership set, and bus probes are compared with a direct scan of
-the allocation table's world bits.
+replayed against a reference checker and allocation is audited with a
+reference ownership set.
 """
 import random
 
@@ -63,19 +62,6 @@ def test_random_alloc_free_ownership_audit():
                 seen[pid] = owner
                 assert auth.table.entries[pid].owner == owner
         assert set(auth.table.entries) == set(seen)
-
-
-def test_transfer_quota():
-    auth = MemoryAuthority()
-    auth.table.set_quota("parent", 10)
-    auth.table.transfer_quota("parent", "child", 4)
-    assert auth.table.quotas["parent"] == 6
-    assert auth.table.quotas["child"] == 4
-    auth.alloc_pages(4, "child", TRUSTED)
-    with pytest.raises(QuotaExceeded):
-        auth.alloc_pages(1, "child", TRUSTED)
-    with pytest.raises(QuotaExceeded):
-        auth.table.transfer_quota("parent", "child", 7)
 
 
 # --- shared grant validation ---
@@ -188,19 +174,6 @@ def test_register_rejection_writes_nothing():
     assert mon.write_count == start_writes
 
 
-def test_revocation_lifecycle():
-    auth, normal, _ = _world_with_private()
-    auth.register_shared(normal[:1], 5, PAGE_SIZE)
-    auth.revoke_registration(5)
-    assert auth.registrations[5].state == "revoked"
-    # a revoked id is reusable
-    auth.register_shared(normal[1:2], 5, PAGE_SIZE)
-    space = auth.create_space("enclaveA", TRUSTED)
-    auth.map_region(space, 5)
-    with pytest.raises(NotValidated):
-        auth.revoke_registration(5)  # mapped regions stay out of scope
-
-
 # --- mapping and shared semantics ---
 
 def test_map_region_dual_view():
@@ -302,32 +275,6 @@ def test_world_gate_on_access():
     # trusted pages can never be mapped into a normal-world space
     with pytest.raises(BusFault):
         auth.map_private(nspace, tpages)
-
-
-def test_bus_probe_vs_world_bit_oracle():
-    rng = random.Random(0xB0B)
-    auth = MemoryAuthority()
-    auth.alloc_pages(20, "proxy", NORMAL)
-    auth.alloc_pages(20, "enclaveA", TRUSTED)
-    auth.alloc_pages(10, "kernel", TRUSTED, purpose="kernel")
-    all_ids = list(auth.table.entries) + [404, 405]
-    for _ in range(100_000):
-        pid = rng.choice(all_ids)
-        world = rng.choice([NORMAL, TRUSTED])
-        off = rng.randrange(0, PAGE_SIZE + 8)
-        n = rng.randrange(0, 64)
-        info = auth.table.entries.get(pid)
-        legal = (info is not None
-                 and not (world == NORMAL and info.world == TRUSTED)
-                 and off + n <= PAGE_SIZE)
-        if legal:
-            got = auth.bus_probe(world, pid, off, n)
-            assert got == bytes(auth.phys[pid][off:off + n])
-        else:
-            with pytest.raises(BusFault):
-                auth.bus_probe(world, pid, off, n)
-    with pytest.raises(BusFault):
-        auth.bus_probe(TRUSTED, all_ids[0], 0, 4, mode="w")
 
 
 def test_digest_tracks_metadata_not_payload():
