@@ -10,6 +10,7 @@ the host writes into shared memory.
 from __future__ import annotations
 
 import bisect
+import struct
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,6 +20,9 @@ from .config import DEEP_TRANSLATE_MAX, PAGE_SIZE, SimConfig
 from .errors import EmptyConsume, StaleSqeId, Untranslatable
 from .ring import Ring, Sqe
 from .shm import AddressSpace, MemoryWindow
+
+# one deep_translate record: buffer address u64, length u64
+_IOVEC = struct.Struct("<QQ")
 
 
 @dataclass(frozen=True)
@@ -241,17 +245,15 @@ class RingHandle:
             return
         win = self._space.access(vec_addr, count * 16, "w")
         snapshot = win.read(0, count * 16)
-        import struct
-        rec = struct.Struct("<QQ")
         try:
             for i in range(count):
-                addr, ln = rec.unpack_from(snapshot, i * 16)
+                addr, ln = _IOVEC.unpack_from(snapshot, i * 16)
                 proxy = self.translate_addr(addr)
                 if ln > 1:
                     end = self.translate_addr(addr + ln - 1)
                     if end - proxy != ln - 1:
                         raise Untranslatable("record straddles translation entries")
-                win.write(i * 16, rec.pack(proxy, ln))
+                win.pack(_IOVEC, i * 16, proxy, ln)
         except Untranslatable:
             win.write(0, snapshot)
             raise

@@ -256,7 +256,7 @@ class HostOs:
 
     def _drain_wake_region(self) -> None:
         if self.wake_window is not None:
-            count, _ = WAKE_FMT.unpack(self.wake_window.read(0, WAKE_FMT.size))
+            count, _ = self.wake_window.unpack(WAKE_FMT, 0)
             self._wake_seen = count
 
     def _deliver_due(self, now: int) -> int:

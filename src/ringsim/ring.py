@@ -16,15 +16,18 @@ derived as (tail - head) mod 2^32 and clamped to [0, entries].
 
 Each side owns exactly one index (producer: tail, consumer: head) and keeps a
 private copy of it, publishing after the slot bytes are in place (release)
-and reading the opposing index fresh per operation (acquire). Under CPython
-the byte stores themselves are atomic enough for the threaded smoke test; the
-deterministic interleaving checks are the normative model.
+and reading the opposing index fresh per operation (acquire): one in-place
+`MemoryWindow.unpack` per index read, never cached across operations. Slot
+snapshots are in-place unpacks too. Under CPython the byte stores are atomic
+enough for the threaded smoke test; the deterministic interleaving checks
+are the normative model.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
 
+from .config import PAGE_SIZE
 from .errors import BadSize, EmptyConsume
 from .shm import MemoryWindow
 
@@ -45,6 +48,7 @@ _HDR_U32 = struct.Struct("<I")
 
 @dataclass(frozen=True)
 class Sqe:
+    STRUCT = _SQE  # wire format; a class attribute, not a field
     opcode: int
     flags: int
     fd: int
@@ -66,6 +70,7 @@ class Sqe:
 
 @dataclass(frozen=True)
 class Cqe:
+    STRUCT = _CQE
     user_data: int
     result: int
     flags: int
@@ -103,18 +108,19 @@ class Ring:
         self._mask = entries - 1
         self._slot = slot_size
         self._codec = codec
+        self._record = codec.STRUCT
         if initialize:
-            window.write(0, _HDR_U32.pack(0))
-            window.write(4, _HDR_U32.pack(0))
-            window.write(8, _HDR_U32.pack(entries))
+            window.pack(_HDR_U32, 0, 0)
+            window.pack(_HDR_U32, 4, 0)
+            window.pack(_HDR_U32, 8, entries)
             self._head = 0
             self._tail = 0
         else:
-            shared = _HDR_U32.unpack(window.read(8, 4))[0]
+            (shared,) = window.unpack(_HDR_U32, 8)
             if shared != entries:
                 raise BadSize(f"shared size field {shared} != expected {entries}")
-            self._head = _HDR_U32.unpack(window.read(0, 4))[0]
-            self._tail = _HDR_U32.unpack(window.read(4, 4))[0]
+            (self._head,) = window.unpack(_HDR_U32, 0)
+            (self._tail,) = window.unpack(_HDR_U32, 4)
 
     @property
     def entries(self) -> int:
@@ -123,16 +129,16 @@ class Ring:
     # --- shared index helpers ---
 
     def _read_shared_head(self) -> int:
-        return _HDR_U32.unpack(self._win.read(0, 4))[0]
+        return self._win.unpack(_HDR_U32, 0)[0]
 
     def _read_shared_tail(self) -> int:
-        return _HDR_U32.unpack(self._win.read(4, 4))[0]
+        return self._win.unpack(_HDR_U32, 4)[0]
 
     def _publish_head(self) -> None:
-        self._win.write(0, _HDR_U32.pack(self._head))
+        self._win.pack(_HDR_U32, 0, self._head)
 
     def _publish_tail(self) -> None:
-        self._win.write(4, _HDR_U32.pack(self._tail))
+        self._win.pack(_HDR_U32, 4, self._tail)
 
     @staticmethod
     def _clamp(delta: int, entries: int) -> int:
@@ -164,7 +170,7 @@ class Ring:
         if self.consumer_occupancy() == 0:
             return None
         off = RING_HEADER + (self._head & self._mask) * self._slot
-        return self._codec.unpack(self._win.read(off, self._slot))
+        return self._codec(*self._win.unpack(self._record, off))
 
     def consume_one(self) -> None:
         if self.consumer_occupancy() == 0:
@@ -183,7 +189,7 @@ class Ring:
         out = []
         for _ in range(n):
             off = RING_HEADER + (self._head & self._mask) * self._slot
-            out.append(self._codec.unpack(self._win.read(off, self._slot)))
+            out.append(self._codec(*self._win.unpack(self._record, off)))
             self._head = (self._head + 1) & MASK32
         if n:
             self._publish_head()
@@ -223,7 +229,6 @@ def cq_ring_attach(window: MemoryWindow, entries: int) -> Ring:
 def ring_region_bytes(entries: int, slot_size: int) -> int:
     """Page-rounded region size for a ring of the given geometry."""
     raw = RING_HEADER + entries * slot_size
-    from .config import PAGE_SIZE
     return ((raw + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from . import ring as ringmod
 from .config import EAGAIN, EFAULT, EINTR, EIO, ENOMEM, ETIMEDOUT
+from .enclave import SqeArgs
 from .errors import PoolExhausted, RegistrationRejected, Untranslatable
 from .promise import (FAILED, FULFILLED, PENDING, async_open, async_path_op,
                       async_read, async_statx, async_write)
@@ -94,7 +95,6 @@ def _abandon(rt, promise) -> None:
 
 def getpid(rt, timeout_ns: int | None = None):
     """Host-claimed pid; advisory only, never an authority for decisions."""
-    from .enclave import SqeArgs
     p = rt.submit_async(ringmod.OP_GETPID, SqeArgs(translate=False))
     return (yield from sync_call(rt, p, timeout_ns))
 
@@ -238,7 +238,6 @@ class PosixShim:
         return -f.error if f.error else 0
 
     def close(self, fd: int):
-        from .enclave import SqeArgs
         r = yield from self.flush(fd)
         p = self.rt.submit_async(ringmod.OP_CLOSE,
                                  SqeArgs(fd=fd, translate=False))

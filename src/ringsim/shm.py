@@ -14,6 +14,7 @@ side of the simulation.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from .config import PAGE_SIZE
@@ -141,8 +142,12 @@ class PageAllocTable:
 class MemoryWindow:
     """Bounds-checked byte view over one mapped virtual range.
 
-    All reads/writes funnel through here so the monitor sees every access.
-    Slices never escape: read() returns copies (snapshots).
+    Every access goes through read/write (byte strings) or unpack/pack
+    (fixed-size `struct.Struct` records), so the monitor sees each one. An
+    access that lies inside one page is served in place from that page;
+    only one that crosses a page edge is assembled page by page. Slices
+    never escape: read() returns copies (snapshots). Pages are looked up on
+    every access, so an access to a freed page fails.
     """
 
     __slots__ = ("_phys", "_space", "base", "length", "_page_ids", "_skew", "_monitor")
@@ -158,47 +163,76 @@ class MemoryWindow:
         self._skew = skew  # offset of window start within its first page
         self._monitor = monitor
 
-    def _locate(self, off: int, n: int) -> list[tuple[int, int, int]]:
-        # -> [(page_id, in_page_offset, chunk_len)]
+    def _start(self, off: int, n: int) -> tuple[int, int]:
+        # bounds check; -> (page index, in-page offset) of the first byte
         if off < 0 or n < 0 or off + n > self.length:
             raise BusFault(f"window access [{off},{off + n}) outside length {self.length}")
-        spans = []
-        pos = self._skew + off
-        remaining = n
-        while remaining > 0:
-            idx = pos // PAGE_SIZE
-            inner = pos % PAGE_SIZE
-            chunk = min(remaining, PAGE_SIZE - inner)
-            spans.append((self._page_ids[idx], inner, chunk))
-            pos += chunk
-            remaining -= chunk
-        if not spans:  # zero-length access still validates bounds
-            idx = min(pos // PAGE_SIZE, len(self._page_ids) - 1)
-            spans.append((self._page_ids[idx], pos % PAGE_SIZE, 0))
-        return spans
+        idx, inner = divmod(self._skew + off, PAGE_SIZE)
+        if idx == len(self._page_ids):  # zero-length access at a page-aligned end
+            return idx - 1, inner
+        return idx, inner
+
+    def _locate(self, off: int, n: int, idx: int, inner: int, mode: str) -> tuple[int, ...]:
+        # an access crossing a page edge: report it, -> the pages it touches
+        pids = self._page_ids[idx:idx + (inner + n - 1) // PAGE_SIZE + 1]
+        if self._monitor.armed:
+            self._monitor.on_access(self._space, self.base + off, n, mode, pids)
+        return pids
 
     def read(self, off: int, n: int) -> bytes:
-        spans = self._locate(off, n)
-        if self._monitor.armed:
-            self._monitor.on_access(self._space, self.base + off, n, READ,
-                                    tuple(s[0] for s in spans))
-        if len(spans) == 1:
-            pid, inner, chunk = spans[0]
-            return bytes(self._phys[pid][inner:inner + chunk])
-        out = bytearray()
-        for pid, inner, chunk in spans:
-            out += self._phys[pid][inner:inner + chunk]
-        return bytes(out)
+        idx, inner = self._start(off, n)
+        if inner + n <= PAGE_SIZE:
+            pid = self._page_ids[idx]
+            if self._monitor.armed:
+                self._monitor.on_access(self._space, self.base + off, n, READ, (pid,))
+            return bytes(self._phys[pid][inner:inner + n])
+        pids = self._locate(off, n, idx, inner, READ)
+        return b"".join([self._phys[pid] for pid in pids])[inner:inner + n]
 
     def write(self, off: int, data: bytes) -> None:
-        spans = self._locate(off, len(data))
+        n = len(data)
+        idx, inner = self._start(off, n)
+        if inner + n <= PAGE_SIZE:
+            pid = self._page_ids[idx]
+            if self._monitor.armed:
+                self._monitor.on_access(self._space, self.base + off, n, WRITE, (pid,))
+            self._phys[pid][inner:inner + n] = data
+            return
+        pids = self._locate(off, n, idx, inner, WRITE)
+        pos = PAGE_SIZE - inner
+        self._phys[pids[0]][inner:] = data[:pos]
+        for pid in pids[1:]:
+            chunk = data[pos:pos + PAGE_SIZE]
+            self._phys[pid][:len(chunk)] = chunk
+            pos += PAGE_SIZE
+
+    def unpack(self, st: struct.Struct, off: int) -> tuple:
+        """`st.unpack` of the record at `off`, in place if within one page."""
+        n = st.size
+        if off < 0 or off + n > self.length:
+            raise BusFault(f"window access [{off},{off + n}) outside length {self.length}")
+        pos = self._skew + off
+        inner = pos % PAGE_SIZE
+        if inner + n > PAGE_SIZE:
+            return st.unpack(self.read(off, n))
+        pid = self._page_ids[pos // PAGE_SIZE]
         if self._monitor.armed:
-            self._monitor.on_access(self._space, self.base + off, len(data), WRITE,
-                                    tuple(s[0] for s in spans))
-        pos = 0
-        for pid, inner, chunk in spans:
-            self._phys[pid][inner:inner + chunk] = data[pos:pos + chunk]
-            pos += chunk
+            self._monitor.on_access(self._space, self.base + off, n, READ, (pid,))
+        return st.unpack_from(self._phys[pid], inner)
+
+    def pack(self, st: struct.Struct, off: int, *values) -> None:
+        """Store `st.pack(*values)` at `off`, in place if within one page."""
+        n = st.size
+        if off < 0 or off + n > self.length:
+            raise BusFault(f"window access [{off},{off + n}) outside length {self.length}")
+        pos = self._skew + off
+        inner = pos % PAGE_SIZE
+        if inner + n > PAGE_SIZE:
+            return self.write(off, st.pack(*values))
+        pid = self._page_ids[pos // PAGE_SIZE]
+        if self._monitor.armed:
+            self._monitor.on_access(self._space, self.base + off, n, WRITE, (pid,))
+        st.pack_into(self._phys[pid], inner, *values)
 
 
 class AddressSpace:

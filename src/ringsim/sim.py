@@ -62,7 +62,7 @@ class TrustedKernel:
         ordinal = self._caller_ordinals.setdefault(caller,
                                                    len(self._caller_ordinals))
         self._wake_count = (self._wake_count + 1) & 0xFFFFFFFF
-        self._wake_window.write(0, WAKE_FMT.pack(self._wake_count, ordinal))
+        self._wake_window.pack(WAKE_FMT, 0, self._wake_count, ordinal)
         self.host.notify_enter()
 
     def attach_shared(self, space, region_id: int, rsize: int) -> int:

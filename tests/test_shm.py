@@ -1,12 +1,14 @@
 """Memory world tests: page table, grants, windows, and the world filter.
 
 The interesting assertions are oracle-shaped: registration validation is
-replayed against a reference checker and allocation is audited with a
-reference ownership set.
+replayed against a reference checker, allocation is audited with a
+reference ownership set, and windows are compared with a flat byte model.
 """
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringsim.config import PAGE_SIZE
 from ringsim.errors import (BusFault, DuplicatePage, NotValidated,
@@ -287,3 +289,103 @@ def test_digest_tracks_metadata_not_payload():
     assert auth.state_digest() == d0      # payload writes invisible
     auth.alloc_pages(1, "proxy", NORMAL)
     assert auth.state_digest() != d0      # metadata changes visible
+
+
+# --- windows against a flat byte model ---
+
+RECORDS = [struct.Struct(f) for f in ("<I", "<II", "<QiI", "<QQ", "<BBiQIQQ30x")]
+MAPPED_PAGES = 4
+
+
+def _span_pages(skew, page_ids, off, n):
+    # reference location: walk the access one page span at a time
+    pos, left, pids = skew + off, n, []
+    while left > 0:
+        chunk = min(left, PAGE_SIZE - pos % PAGE_SIZE)
+        pids.append(page_ids[pos // PAGE_SIZE])
+        pos += chunk
+        left -= chunk
+    if not pids:  # a zero-length access still names one page
+        pids.append(page_ids[min(pos // PAGE_SIZE, len(page_ids) - 1)])
+    return tuple(pids)
+
+
+@st.composite
+def _window_op(draw, skew, length):
+    kind = draw(st.sampled_from(["read", "write", "unpack", "pack"]))
+    if kind in ("unpack", "pack"):
+        arg = draw(st.sampled_from(RECORDS))
+        n = arg.size
+    else:
+        arg = n = draw(st.one_of(st.integers(0, 80), st.integers(0, 2 * PAGE_SIZE + 8)))
+    # start or end the access at, or a byte either side of, a page
+    # edge or a window end; or anywhere, including out of range
+    edges = list(range(PAGE_SIZE - skew, length, PAGE_SIZE)) + [0, length]
+    edge = draw(st.sampled_from(edges))
+    d = draw(st.sampled_from([-1, 0, 1]))
+    off = draw(st.one_of(st.just(edge + d), st.just(edge - n + d),
+                         st.integers(-16, length + 16)))
+    return kind, off, arg
+
+
+@st.composite
+def _window_ops(draw):
+    skew = draw(st.one_of(st.just(0), st.integers(0, PAGE_SIZE - 1)))
+    length = draw(st.one_of(
+        st.integers(0, MAPPED_PAGES * PAGE_SIZE - skew),
+        st.integers(PAGE_SIZE, MAPPED_PAGES * PAGE_SIZE - skew),
+        st.builds(lambda k: k * PAGE_SIZE - skew, st.integers(1, MAPPED_PAGES))))
+    ops = draw(st.lists(_window_op(skew, length), min_size=8, max_size=16))
+    ops += [("read", length, 0), ("write", length, 0)]  # zero-length at the end
+    return skew, length, random.Random(draw(st.integers(0, 2**32))), ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_ops())
+def test_window_matches_flat_model(case):
+    skew, length, rng, ops = case
+    auth = MemoryAuthority()
+    page_ids = auth.alloc_pages(MAPPED_PAGES, "proxy", NORMAL)
+    for pid in page_ids:
+        auth.phys[pid][:] = rng.randbytes(PAGE_SIZE)
+    model = bytearray(b"".join(auth.phys[pid] for pid in page_ids))
+    space = auth.create_space("proxy", NORMAL)
+    m = auth.map_private(space, page_ids)
+    w = space.access(m.base + skew, length, "rw")
+    wids = page_ids[:(skew + max(length, 1) - 1) // PAGE_SIZE + 1]
+    calls = []
+    auth.monitor.on_access = lambda sp, vaddr, n, mode, pids: calls.append(
+        (vaddr, n, mode, pids))
+    auth.monitor.arm()
+    for kind, off, arg in ops:
+        n = arg if isinstance(arg, int) else arg.size
+        data = rng.randbytes(n)
+        before = len(calls)
+        if off < 0 or off + n > length:
+            with pytest.raises(BusFault):
+                if kind == "read":
+                    w.read(off, n)
+                elif kind == "write":
+                    w.write(off, data)
+                elif kind == "unpack":
+                    w.unpack(arg, off)
+                else:
+                    w.pack(arg, off, *arg.unpack(data))
+            assert len(calls) == before
+        else:
+            lo = skew + off
+            if kind == "read":
+                assert w.read(off, n) == bytes(model[lo:lo + n])
+            elif kind == "unpack":
+                assert w.unpack(arg, off) == arg.unpack(model[lo:lo + n])
+            elif kind == "write":
+                w.write(off, data)
+                model[lo:lo + n] = data
+            else:
+                values = arg.unpack(data)
+                w.pack(arg, off, *values)
+                model[lo:lo + n] = arg.pack(*values)  # pad bytes are zeroed
+            mode = "r" if kind in ("read", "unpack") else "w"
+            assert calls[before:] == [(m.base + skew + off, n, mode,
+                                       _span_pages(skew, wids, off, n))]
+        assert b"".join(auth.phys[pid] for pid in page_ids) == model
