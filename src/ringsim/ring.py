@@ -48,7 +48,7 @@ _HDR_U32 = struct.Struct("<I")
 
 @dataclass(frozen=True)
 class Sqe:
-    STRUCT = _SQE  # wire format; a class attribute, not a field
+    STRUCT = _SQE  # wire format, decoded as Sqe(*STRUCT.unpack(raw)); not a field
     opcode: int
     flags: int
     fd: int
@@ -62,11 +62,6 @@ class Sqe:
                          self.addr & (2**64 - 1), self.len & MASK32,
                          self.off & (2**64 - 1), self.user_data & (2**64 - 1))
 
-    @classmethod
-    def unpack(cls, raw: bytes) -> "Sqe":
-        opcode, flags, fd, addr, ln, off, user_data = _SQE.unpack(raw)
-        return cls(opcode, flags, fd, addr, ln, off, user_data)
-
 
 @dataclass(frozen=True)
 class Cqe:
@@ -78,11 +73,6 @@ class Cqe:
     def pack(self) -> bytes:
         return _CQE.pack(self.user_data & (2**64 - 1), self.result,
                          self.flags & MASK32)
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "Cqe":
-        user_data, result, flags = _CQE.unpack(raw)
-        return cls(user_data, result, flags)
 
 
 def _check_geometry(window: MemoryWindow, entries: int, slot_size: int) -> None:

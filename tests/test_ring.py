@@ -45,7 +45,7 @@ def test_golden_wire_format():
         assert len(blob) == int(size)
         assert blob.hex() == hexed, f"{name} layout drifted"
         cls = Sqe if name.startswith("sqe") else Cqe
-        again = cls.unpack(blob)
+        again = cls(*cls.STRUCT.unpack(blob))
         assert again.pack() == blob
 
 
