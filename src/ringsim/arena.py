@@ -1,10 +1,11 @@
-"""FILO staging arenas carved from host-granted shared blocks.
+"""Staging arenas carved from host-granted shared blocks.
 
-All allocator metadata (tops, capacities, free bins) is private to the
-enclave side; only payload bytes live in shared memory, so no host write can
-corrupt an offset or a free list. Freed arenas go back to size-class bins and
-are handed out LIFO; when nothing fits, the pool requests one new shared
-block at a time and parks requesters on promises until the grant lands.
+An arena is one buffer lent to one operation. All allocator metadata
+(capacities, free bins) is private to the enclave side; only payload bytes
+live in shared memory, so no host write can corrupt an offset or a free list.
+Freed arenas go back to size-class bins and are handed out LIFO; when nothing
+fits, the pool requests one new shared block at a time and parks requesters
+on promises until the grant lands.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .config import PAGE_SIZE, SIZE_CLASSES, SimConfig
-from .errors import ArenaFull, DoubleFree, PoolExhausted, Underflow, UseAfterFree
+from .errors import ArenaFull, DoubleFree, PoolExhausted, UseAfterFree
 
 _MAX_CLASS = SIZE_CLASSES[-1]
 
@@ -49,42 +50,20 @@ class _FreeChunk:
 
 
 class Arena:
-    """One FILO staging region inside a shared block."""
+    """One staging buffer inside a shared block, lent to one operation."""
 
-    __slots__ = ("arena_id", "block", "block_offset", "capacity", "top", "live",
-                 "_align")
+    __slots__ = ("arena_id", "block", "block_offset", "capacity", "live")
 
-    def __init__(self, arena_id: int, block, block_offset: int, capacity: int,
-                 align: int):
+    def __init__(self, arena_id: int, block, block_offset: int, capacity: int):
         self.arena_id = arena_id
         self.block = block
         self.block_offset = block_offset
         self.capacity = capacity
-        self.top = 0
         self.live = True
-        self._align = align
 
     def _check_live(self) -> None:
         if not self.live:
             raise UseAfterFree(f"arena {self.arena_id} was freed")
-
-    def push(self, n: int, align: int | None = None) -> int:
-        """Reserve n bytes; returns the aligned offset of the reservation."""
-        self._check_live()
-        if n < 0:
-            raise ArenaFull("negative push")
-        a = align or self._align
-        aligned = (self.top + a - 1) & ~(a - 1)
-        if aligned + n > self.capacity:
-            raise ArenaFull(f"{aligned}+{n} > capacity {self.capacity}")
-        self.top = aligned + n
-        return aligned
-
-    def pop(self, n: int) -> None:
-        self._check_live()
-        if n > self.top:
-            raise Underflow(f"pop {n} with top {self.top}")
-        self.top -= n
 
     def write(self, off: int, data: bytes) -> None:
         self._check_live()
@@ -108,10 +87,10 @@ class ArenaPool:
     """Size-class bins over shared blocks, refilled one grant at a time."""
 
     def __init__(self, handle, cfg: SimConfig):
+        # cfg is unused: the pool has no knobs of its own
         self._handle = handle
-        self._cfg = cfg
         self._bins: dict[int, list[_FreeChunk]] = {}
-        self._waiters: deque = deque()  # (need_bytes, class_bytes, promise)
+        self._waiters: deque = deque()  # (class_bytes, promise)
         self._refill_inflight = False
         self._next_arena_id = 1
         # conservation accounting (exact, in bytes)
@@ -133,7 +112,7 @@ class ArenaPool:
         if chunk is not None:
             return self._handle.pool.fulfilled(self._make_arena(chunk))
         p = self._handle.pool.create()
-        self._waiters.append((size, cls, p))
+        self._waiters.append((cls, p))
         self._maybe_refill()
         return p
 
@@ -171,7 +150,7 @@ class ArenaPool:
 
     def _make_arena(self, chunk: _FreeChunk) -> Arena:
         a = Arena(self._next_arena_id, chunk.block, chunk.offset,
-                  chunk.capacity, self._cfg.arena_align)
+                  chunk.capacity)
         self._next_arena_id += 1
         self.total_in_bins -= chunk.capacity
         self.total_live += chunk.capacity
@@ -192,20 +171,20 @@ class ArenaPool:
     def _maybe_refill(self) -> None:
         if self._refill_inflight or not self._waiters:
             return
-        need = sum(cls for _, cls, _ in self._waiters)
+        need = sum(cls for cls, _ in self._waiters)
         rsize = ((need + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
         self._refill_inflight = True
         p = self._handle.enclave_mmap(rsize)
         self._handle.pool.then(p, self._on_refill,
-                               on_fail=lambda _a, e: self._on_refill_failed(e))
+                               on_fail=self._on_refill_failed)
 
-    def _on_refill(self, _args, block) -> None:
+    def _on_refill(self, block) -> None:
         self._refill_inflight = False
         size = block.entry.size
         self.total_received += size
         offset = 0
         while self._waiters:
-            _, cls, p = self._waiters[0]
+            cls, p = self._waiters[0]
             if offset + cls > size:
                 break
             self._waiters.popleft()
@@ -213,51 +192,37 @@ class ArenaPool:
             offset += cls
             self.total_in_bins += cls  # flows straight to live via _make_arena
             self._handle.pool.fulfill(p, self._make_arena(chunk))
-        for cls in _greedy_classes(size - offset):
-            self._bins.setdefault(cls, []).append(_FreeChunk(block, offset, cls))
-            self.total_in_bins += cls
-            offset += cls
+        self._bin_chunks(block, offset, _greedy_classes(size - offset))
         self._maybe_refill()
 
     def _on_refill_failed(self, error) -> None:
         self._refill_inflight = False
         while self._waiters:
-            _, _, p = self._waiters.popleft()
+            _, p = self._waiters.popleft()
             self._handle.pool.fail(p, PoolExhausted(f"refill refused: {error}"))
 
-    def _split_prefill(self, _args, block) -> None:
+    def _split_prefill(self, block) -> None:
         size = block.entry.size
         self.total_received += size
-        sixteenth = 16384
-        n16 = (3 * size // 4) // sixteenth
-        rest = size - n16 * sixteenth
-        n4 = rest // 4096
-        tail = rest - n4 * 4096
-        offset = 0
-        for _ in range(n16):
-            self._bins.setdefault(sixteenth, []).append(
-                _FreeChunk(block, offset, sixteenth))
-            offset += sixteenth
-        for _ in range(n4):
-            self._bins.setdefault(4096, []).append(_FreeChunk(block, offset, 4096))
-            offset += 4096
-        for cls in _greedy_classes(tail):
-            self._bins.setdefault(cls, []).append(_FreeChunk(block, offset, cls))
-            offset += cls
-        self.total_in_bins += size
+        n16 = (3 * size // 4) // 16384
+        n4 = (size - n16 * 16384) // 4096
+        tail = size - n16 * 16384 - n4 * 4096
+        self._bin_chunks(block, 0,
+                         [16384] * n16 + [4096] * n4 + _greedy_classes(tail))
         # a parked demand request may now be satisfiable
-        self._serve_waiters_from_bins()
+        while self._waiters:
+            chunk = self._take_chunk(self._waiters[0][0])
+            if chunk is None:
+                break
+            _, p = self._waiters.popleft()
+            self._handle.pool.fulfill(p, self._make_arena(chunk))
 
-    def _serve_waiters_from_bins(self) -> None:
-        served = True
-        while served and self._waiters:
-            served = False
-            _, cls, p = self._waiters[0]
-            chunk = self._take_chunk(cls)
-            if chunk is not None:
-                self._waiters.popleft()
-                self._handle.pool.fulfill(p, self._make_arena(chunk))
-                served = True
+    def _bin_chunks(self, block, offset: int, classes: list[int]) -> None:
+        """Bin consecutive chunks of `block` from `offset`, one per class."""
+        for cls in classes:
+            self._bins.setdefault(cls, []).append(_FreeChunk(block, offset, cls))
+            self.total_in_bins += cls
+            offset += cls
 
     def bin_census(self) -> dict[int, int]:
         return {k: len(v) for k, v in sorted(self._bins.items()) if v}

@@ -31,7 +31,6 @@ EPIPE = 32
 # Arena size classes: powers of two, 256 B .. 64 KiB. Larger requests get a
 # dedicated block keyed by exact rounded size.
 SIZE_CLASSES = tuple(256 << i for i in range(9))  # 256 .. 65536
-DEFAULT_ALIGN = 16
 
 # Half of the modeled last-level cache bounds write staging.
 LLC_BYTES = 1 << 20
@@ -50,7 +49,6 @@ class SimConfig:
     continuation_budget: int = 32
     # also caps the in-flight user_data correlation records per ring handle
     max_outstanding_promises: int = 256
-    arena_align: int = DEFAULT_ALIGN
     write_staging_cap: int = WRITE_STAGING_CAP
     # host poller falls asleep after this much idle simulated time (ns)
     poller_idle_timeout: int = 400_000

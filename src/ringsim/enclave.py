@@ -277,10 +277,10 @@ class RingHandle:
         raw = self.pool.create()
         args = SqeArgs(fd=0, addr=0, len=rsize, off=region_id, translate=False)
         self.submit_or_park(ringmod.OP_ENCLAVE_MMAP, args, raw.tag)
-        return self.pool.then(raw, self._attach_block, (rsize, region_id))
+        return self.pool.then(raw, lambda proxy_base: self._attach_block(
+            rsize, region_id, proxy_base))
 
-    def _attach_block(self, bound_args, proxy_base):
-        rsize, region_id = bound_args
+    def _attach_block(self, rsize: int, region_id: int, proxy_base: int):
         if proxy_base < 0:
             raise Untranslatable(f"host refused grant: errno {-proxy_base}")
         enclave_base = self._kernel.attach_shared(self._space, region_id,

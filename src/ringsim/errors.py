@@ -83,16 +83,12 @@ class ArenaFull(RingSimError):
     pass
 
 
-class Underflow(RingSimError):
-    pass
-
-
 class DoubleFree(RingSimError):
     pass
 
 
 class UseAfterFree(RingSimError):
-    """Push/pop/IO on an arena after free (debug poisoning)."""
+    """IO on an arena after free (debug poisoning)."""
 
 
 class PoolExhausted(RingSimError):

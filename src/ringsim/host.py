@@ -382,14 +382,14 @@ class HostOs:
     def _execute(self, sqe: Sqe):
         """-> (result, payload_addr | None, payload | None)"""
         op = sqe.opcode
-        if op == ringmod.OP_OPEN:
-            path = self._read_proxy(sqe.addr, sqe.len)
-            if path is None:
-                return (-EFAULT, None, None)
-            try:
-                text = path.decode()
-            except UnicodeDecodeError:
-                return (-EINVAL, None, None)
+        if op in (ringmod.OP_OPEN, ringmod.OP_UNLINK, ringmod.OP_MKDIR):
+            text = self._path_arg(sqe)
+            if isinstance(text, int):
+                return (text, None, None)
+            if op == ringmod.OP_UNLINK:
+                return (self.vfs.unlink(text), None, None)
+            if op == ringmod.OP_MKDIR:
+                return (self.vfs.mkdir(text), None, None)
             r = self.vfs.open(text, bool(sqe.off & ringmod.OPENF_CREATE),
                               bool(sqe.off & ringmod.OPENF_TRUNC))
             if r < 0:
@@ -420,24 +420,23 @@ class HostOs:
                 return (-EBADF, None, None)
             size, block, pseudo = self.vfs.stat(path)
             return (0, sqe.addr, ringmod.STATX_FMT.pack(size, block, pseudo))
-        if op == ringmod.OP_UNLINK:
-            path = self._read_proxy(sqe.addr, sqe.len)
-            if path is None:
-                return (-EFAULT, None, None)
-            return (self.vfs.unlink(path.decode()), None, None)
-        if op == ringmod.OP_MKDIR:
-            path = self._read_proxy(sqe.addr, sqe.len)
-            if path is None:
-                return (-EFAULT, None, None)
-            return (self.vfs.mkdir(path.decode()), None, None)
-        if op == ringmod.OP_SYNC:
-            return (0 if sqe.fd in self.fds else -EBADF, None, None)
         if op == ringmod.OP_GETPID:
             # routed to the host on purpose; the value is untrusted data
             return (self.pid, None, None)
         if op == ringmod.OP_ENCLAVE_MMAP:
             return self._service_mmap(sqe)
         return (-EINVAL, None, None)
+
+    def _path_arg(self, sqe: Sqe) -> str | int:
+        """The path an SQE names, or -EFAULT (unreadable) / -EINVAL (not
+        UTF-8)."""
+        path = self._read_proxy(sqe.addr, sqe.len)
+        if path is None:
+            return -EFAULT
+        try:
+            return path.decode()
+        except UnicodeDecodeError:
+            return -EINVAL
 
     def _service_mmap(self, sqe: Sqe):
         size = sqe.len

@@ -1,11 +1,11 @@
 """Bounded promise pool and the async IO composition helpers.
 
-Promises here are deliberately austere: a callback, a fixed argument array of
-at most eight 64-bit integer slots, successor links, and a state that moves
-from pending to exactly one of fulfilled/failed. The pool caps outstanding
-promises and bounds continuation work per settle call; anything past the
-budget waits for the next event-loop pump. Host silence never fails a
-promise; it just stays pending while the event loop keeps meeting its period.
+Promises here are deliberately austere: a one-argument callback, successor
+links, and a state that moves from pending to exactly one of
+fulfilled/failed. The pool caps outstanding promises and bounds continuation
+work per settle call; anything past the budget waits for the next event-loop
+pump. Host silence never fails a promise; it just stays pending while the
+event loop keeps meeting its period.
 """
 from __future__ import annotations
 
@@ -20,14 +20,10 @@ PENDING = "pending"
 FULFILLED = "fulfilled"
 FAILED = "failed"
 
-_MAX_ARGS = 8
-_I64_MIN = -(1 << 63)
-_U64_MAX = (1 << 64) - 1
-
 
 class Promise:
-    __slots__ = ("tag", "state", "value", "error", "callback", "args",
-                 "_succ", "_adopters", "_parent", "_on_fail")
+    __slots__ = ("tag", "state", "value", "error", "callback", "_succ",
+                 "_adopters", "_parent", "_on_fail")
 
     def __init__(self, tag: int):
         self.tag = tag
@@ -35,7 +31,6 @@ class Promise:
         self.value = None
         self.error = None
         self.callback: Callable | None = None
-        self.args: tuple = ()
         self._succ: list["Promise"] = []
         self._adopters: list["Promise"] = []
         self._parent: "Promise | None" = None
@@ -45,15 +40,6 @@ class Promise:
 def poll(p: Promise) -> str:
     """Non-blocking state query."""
     return p.state
-
-
-def _check_args(args: tuple) -> tuple:
-    if len(args) > _MAX_ARGS:
-        raise PoolExhausted(f"argument array capped at {_MAX_ARGS} slots")
-    for v in args:
-        if not isinstance(v, int) or not (_I64_MIN <= v <= _U64_MAX):
-            raise PoolExhausted("argument slots hold 64-bit integers only")
-    return tuple(args)
 
 
 class PromisePool:
@@ -84,18 +70,17 @@ class PromisePool:
         self.fulfill(p, value)
         return p
 
-    def then(self, parent: Promise, callback: Callable, args: tuple = (),
+    def then(self, parent: Promise, callback: Callable,
              on_fail: Callable | None = None) -> Promise:
         """Chain a continuation after parent; returns the successor promise.
 
-        On parent fulfillment: callback(args, parent.value); a returned
-        promise is adopted (the successor settles when it does). On parent
-        failure the failure propagates without running callback (on_fail, if
+        On parent fulfillment: callback(parent.value); a returned promise is
+        adopted (the successor settles when it does). On parent failure the
+        failure propagates without running callback (on_fail(error), if
         given, observes the error first, for cleanup).
         """
         child = self.create()
         child.callback = callback
-        child.args = _check_args(args)
         child._parent = parent
         if on_fail is not None:
             child._on_fail = on_fail
@@ -190,12 +175,11 @@ class PromisePool:
             return
         if parent.state == FAILED:
             if child._on_fail is not None:
-                child._on_fail(child.args, parent.error)
+                child._on_fail(parent.error)
             self._settle(child, FAILED, None, parent.error)
             return
         try:
-            result = child.callback(child.args, parent.value) \
-                if child.callback is not None else parent.value
+            result = child.callback(parent.value)
         except Exception as exc:  # callback faults become failures
             self._settle(child, FAILED, None, exc)
             return
@@ -215,27 +199,26 @@ def _staged_op(rt, opcode: int, size: int, fd: int = 0, off: int = 0,
                ) -> Promise:
     """Shared staging arena -> submission -> completion result.
 
-    The arena holds `size` bytes at the submitted address; `payload`, when
-    given, is copied in before submitting. On completion finish(arena, offset,
-    result) gives the promise value (default: the result), and the arena is
-    freed when the completion (or failure) lands.
+    The arena holds `size` bytes at offset 0, the submitted address;
+    `payload`, when given, is copied in before submitting. On completion
+    finish(arena, result) gives the promise value (default: the result), and
+    the arena is freed when the completion (or failure) lands.
     """
     pool = rt.pool
 
-    def _stage(_args, arena):
-        aoff = arena.push(size)
+    def _stage(arena):
         if payload is not None:
-            arena.write(aoff, payload)
+            arena.write(0, payload)
         p_res = rt.submit_async(opcode, SqeArgs(
-            fd=fd, addr=arena.addr_of(aoff), len=size, off=off))
+            fd=fd, addr=arena.addr_of(0), len=size, off=off))
 
-        def _done(_a, result):
-            value = result if finish is None else finish(arena, aoff, result)
+        def _done(result):
+            value = result if finish is None else finish(arena, result)
             rt.arena_pool.free_arena(arena)
             return value
 
         return pool.then(p_res, _done,
-                         on_fail=lambda _a, _e: rt.arena_pool.free_arena(arena))
+                         on_fail=lambda _e: rt.arena_pool.free_arena(arena))
 
     return pool.then(rt.arena_pool.request_arena(max(size, 1)), _stage)
 
@@ -257,11 +240,12 @@ def async_read(rt, fd: int, n: int, off: int = 0) -> Promise:
     A hostile result value larger than the request is clamped to the arena
     window, so the copy-out can never overrun private buffers.
     """
+    if n < 0:
+        raise ValueError("read size must not be negative")
     if n == 0:
         return rt.pool.fulfilled(b"")
     return _staged_op(rt, ringmod.OP_READ, n, fd=fd, off=off,
-                      finish=lambda arena, aoff, result:
-                      arena.read(aoff, min(result, n)))
+                      finish=lambda arena, result: arena.read(0, min(result, n)))
 
 
 def async_path_op(rt, opcode: int, path: bytes, off: int = 0) -> Promise:
@@ -276,5 +260,5 @@ def async_open(rt, path: bytes, open_flags: int = 0) -> Promise:
 def async_statx(rt, fd: int) -> Promise:
     """Promise of (size, block_size, pseudo_flag)."""
     return _staged_op(rt, ringmod.OP_STATX, ringmod.STATX_BYTES, fd=fd,
-                      finish=lambda arena, aoff, _result: ringmod.STATX_FMT
-                      .unpack(arena.read(aoff, ringmod.STATX_BYTES)))
+                      finish=lambda arena, _result: ringmod.STATX_FMT
+                      .unpack(arena.read(0, ringmod.STATX_BYTES)))

@@ -34,14 +34,14 @@ from .shm import MemoryWindow
 MASK32 = 0xFFFFFFFF
 RING_HEADER = 64
 
-SQE_SIZE = 64
-CQE_SIZE = 16
-
 # opcode u8, flags u8, fd i32, addr u64, len u32, off u64, user_data u64,
 # padded to 64 bytes
 _SQE = struct.Struct("<BBiQIQQ30x")
 # user_data u64, result i32, flags u32
 _CQE = struct.Struct("<QiI")
+
+SQE_SIZE = _SQE.size
+CQE_SIZE = _CQE.size
 
 _HDR_U32 = struct.Struct("<I")
 
@@ -87,18 +87,21 @@ class Ring:
     """One party's view of a shared ring.
 
     A view acts as producer or consumer but never both; the constructor
-    caches the private mask and the private copy of the owned index.
+    caches the private mask and the private copy of the owned index. The slot
+    size is the codec's wire size. `initialize` zeroes the indices (the first
+    view); otherwise only the shared size field is read, to confirm the
+    caller's private geometry.
     """
 
-    def __init__(self, window: MemoryWindow, entries: int, slot_size: int,
-                 codec, *, initialize: bool):
-        _check_geometry(window, entries, slot_size)
+    def __init__(self, window: MemoryWindow, entries: int, codec, *,
+                 initialize: bool):
+        self._record = codec.STRUCT
+        self._slot = self._record.size
+        _check_geometry(window, entries, self._slot)
         self._win = window
         self._entries = entries
         self._mask = entries - 1
-        self._slot = slot_size
         self._codec = codec
-        self._record = codec.STRUCT
         if initialize:
             window.pack(_HDR_U32, 0, 0)
             window.pack(_HDR_U32, 4, 0)
@@ -186,34 +189,20 @@ class Ring:
         return out
 
 
-def ring_init(window: MemoryWindow, entries: int, slot_size: int, codec) -> Ring:
-    """Create the first view of a ring region, zeroing the indices."""
-    return Ring(window, entries, slot_size, codec, initialize=True)
-
-
-def ring_attach(window: MemoryWindow, entries: int, slot_size: int, codec) -> Ring:
-    """Attach a second view without reinitializing.
-
-    Only the shared size field is read for confirmation; geometry comes from
-    the caller's private expectation.
-    """
-    return Ring(window, entries, slot_size, codec, initialize=False)
-
-
 def sq_ring_init(window: MemoryWindow, entries: int) -> Ring:
-    return ring_init(window, entries, SQE_SIZE, Sqe)
+    return Ring(window, entries, Sqe, initialize=True)
 
 
 def sq_ring_attach(window: MemoryWindow, entries: int) -> Ring:
-    return ring_attach(window, entries, SQE_SIZE, Sqe)
+    return Ring(window, entries, Sqe, initialize=False)
 
 
 def cq_ring_init(window: MemoryWindow, entries: int) -> Ring:
-    return ring_init(window, entries, CQE_SIZE, Cqe)
+    return Ring(window, entries, Cqe, initialize=True)
 
 
 def cq_ring_attach(window: MemoryWindow, entries: int) -> Ring:
-    return ring_attach(window, entries, CQE_SIZE, Cqe)
+    return Ring(window, entries, Cqe, initialize=False)
 
 
 def ring_region_bytes(entries: int, slot_size: int) -> int:
@@ -223,7 +212,7 @@ def ring_region_bytes(entries: int, slot_size: int) -> int:
 
 
 # --- operation vocabulary carried in Sqe.opcode ---
-# Numbers are wire format and never reused; 9..14 and 17 are unassigned.
+# Numbers are wire format and never reused; 8..14 and 17 are unassigned.
 
 OP_OPEN = 1
 OP_READ = 2
@@ -232,13 +221,12 @@ OP_CLOSE = 4
 OP_STATX = 5
 OP_UNLINK = 6
 OP_MKDIR = 7
-OP_SYNC = 8
 OP_GETPID = 15
 OP_ENCLAVE_MMAP = 16
 
 OP_NAMES = {
     OP_OPEN: "open", OP_READ: "read", OP_WRITE: "write", OP_CLOSE: "close",
-    OP_STATX: "statx", OP_UNLINK: "unlink", OP_MKDIR: "mkdir", OP_SYNC: "sync",
+    OP_STATX: "statx", OP_UNLINK: "unlink", OP_MKDIR: "mkdir",
     OP_GETPID: "getpid", OP_ENCLAVE_MMAP: "enclave_mmap",
 }
 

@@ -199,7 +199,7 @@ class PosixShim:
         f.file_off += n
         p = async_write(self.rt, f.fd, chunk, at)
 
-        def _landed(_args, result):
+        def _landed(result):
             f.inflight = None
             if result < len(chunk):
                 f.error = -result if result < 0 else EIO  # short write
@@ -207,7 +207,7 @@ class PosixShim:
                 self._maybe_submit(f, tail)
             return result
 
-        def _lost(_args, error):
+        def _lost(error):
             f.inflight = None
             errno = _errno_of(error)
             f.error = EIO if errno is None else errno

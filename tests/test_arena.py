@@ -1,12 +1,11 @@
-"""Staging arenas: size classes, FILO discipline, grant-driven refills."""
+"""Staging arenas: size classes, bounds and poisoning, grant-driven refills."""
 import random
 
 import pytest
 
 from ringsim.arena import ArenaPool, _greedy_classes, size_class
 from ringsim.config import INIT_SHM_ENV, PAGE_SIZE, SIZE_CLASSES, SimConfig
-from ringsim.errors import (ArenaFull, DoubleFree, PoolExhausted, Underflow,
-                            UseAfterFree)
+from ringsim.errors import ArenaFull, DoubleFree, PoolExhausted, UseAfterFree
 from ringsim.promise import FAILED, FULFILLED, PENDING
 
 from helpers import FakeHandle
@@ -49,52 +48,12 @@ def test_greedy_split_conserves():
         assert all(c in SIZE_CLASSES for c in chunks)
 
 
-def test_push_alignment_and_full():
-    pool, fh = _pool()
-    a = _get(pool, fh, 256)
-    assert a.push(16, 8) == 0             # fresh arena starts at offset 0
-    assert a.push(1, 8) == 16
-    assert a.push(8, 8) == 24             # 17 rounds up to 24
-    with pytest.raises(ArenaFull):
-        a.push(999, 8)
-    with pytest.raises(Underflow):
-        a.pop(a.top + 1)
-
-
-def test_filo_against_shadow_stack():
-    pool, fh = _pool()
-    a = _get(pool, fh, 16384)
-    rng = random.Random(7)
-    top = 0
-    for _ in range(2000):
-        if rng.random() < 0.6:
-            n = rng.randrange(0, 500)
-            align = rng.choice((1, 2, 4, 8, 16, 64))
-            want = (top + align - 1) & ~(align - 1)
-            if want + n > a.capacity:
-                with pytest.raises(ArenaFull):
-                    a.push(n, align)
-            else:
-                assert a.push(n, align) == want
-                top = want + n
-        else:
-            n = rng.randrange(0, 600)
-            if n > top:
-                with pytest.raises(Underflow):
-                    a.pop(n)
-            else:
-                a.pop(n)
-                top -= n
-        assert a.top == top
-
-
 def test_write_read_and_addr():
     pool, fh = _pool()
     a = _get(pool, fh, 1024)
-    off = a.push(64, 8)
-    a.write(off, b"\x5a" * 64)
-    assert a.read(off, 64) == b"\x5a" * 64
-    assert a.addr_of(off) == a.block.entry.enclave_base + a.block_offset + off
+    a.write(0, b"\x5a" * 64)
+    assert a.read(0, 64) == b"\x5a" * 64
+    assert a.addr_of(0) == a.block.entry.enclave_base + a.block_offset
     with pytest.raises(ArenaFull):
         a.write(a.capacity - 3, b"xxxx")
     with pytest.raises(ArenaFull):
@@ -104,10 +63,9 @@ def test_write_read_and_addr():
 def test_free_poisons_and_double_free():
     pool, fh = _pool()
     a = _get(pool, fh, 256)
-    a.push(100)                           # freeing with live data is allowed
     pool.free_arena(a)
-    for op in (lambda: a.push(1), lambda: a.pop(0), lambda: a.read(0, 1),
-               lambda: a.write(0, b"x"), lambda: a.addr_of(0)):
+    for op in (lambda: a.read(0, 1), lambda: a.write(0, b"x"),
+               lambda: a.addr_of(0)):
         with pytest.raises(UseAfterFree):
             op()
     with pytest.raises(DoubleFree):

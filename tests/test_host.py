@@ -4,12 +4,16 @@ import hashlib
 import pytest
 
 from ringsim import ring as ringmod
-from ringsim.config import EBADF, EEXIST, EINVAL, ENOENT, SimConfig
+from ringsim.config import EBADF, EEXIST, EINVAL, ENOENT, INIT_SHM_ENV, SimConfig
 from ringsim.host import (AdversaryPolicy, HostOs, VirtualFs, _fill_bytes)
+from ringsim.promise import async_path_op
 from ringsim.ring import (CQE_SIZE, SQE_SIZE, Cqe, Sqe, cq_ring_attach,
                           cq_ring_init, ring_region_bytes, sq_ring_attach,
                           sq_ring_init)
+from ringsim.shim import sync_call
 from ringsim.shm import NORMAL, TRUSTED, MemoryAuthority
+
+from helpers import app_sim, spawn_app
 
 MANIFEST = """
 # data tree
@@ -183,6 +187,23 @@ def test_open_read_write_statx_close():
     assert cqe.result == -EBADF
     cqe, t = w.run_op(t, 200)              # unknown opcode
     assert cqe.result == -EINVAL
+    cqe, t = w.run_op(t, 8, fd=3)          # retired opcode number
+    assert cqe.result == -EINVAL
+
+
+@pytest.mark.parametrize("op", [ringmod.OP_OPEN, ringmod.OP_UNLINK,
+                                ringmod.OP_MKDIR],
+                         ids=["open", "unlink", "mkdir"])
+def test_non_utf8_path_is_einval(op):
+    sim = app_sim(MANIFEST)
+
+    def body(rt, out):
+        out["r"] = yield from sync_call(
+            rt, async_path_op(rt, op, b"/d/\xff"), 10_000_000)
+
+    _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
+    sim.run_until(30_000_000)              # the host must not crash
+    assert out["r"] == -EINVAL
 
 
 def test_fd_table_dense_from_three():

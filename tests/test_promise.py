@@ -13,9 +13,9 @@ def test_chain_runs_in_order():
     pool = PromisePool()
     order = []
     root = pool.create()
-    c1 = pool.then(root, lambda a, v: order.append(("c1", v)) or v + 1)
-    c2 = pool.then(c1, lambda a, v: order.append(("c2", v)) or v + 1)
-    c3 = pool.then(c2, lambda a, v: order.append(("c3", v)) or v + 1)
+    c1 = pool.then(root, lambda v: order.append(("c1", v)) or v + 1)
+    c2 = pool.then(c1, lambda v: order.append(("c2", v)) or v + 1)
+    c3 = pool.then(c2, lambda v: order.append(("c3", v)) or v + 1)
     pool.fulfill(root, 10)
     assert order == [("c1", 10), ("c2", 11), ("c3", 12)]
     assert c3.state == FULFILLED and c3.value == 13
@@ -26,9 +26,9 @@ def test_failure_short_circuits_chain():
     ran = []
     cleanup = []
     root = pool.create()
-    c1 = pool.then(root, lambda a, v: ran.append(1),
-                   on_fail=lambda a, e: cleanup.append(e))
-    c2 = pool.then(c1, lambda a, v: ran.append(2))
+    c1 = pool.then(root, lambda v: ran.append(1),
+                   on_fail=lambda e: cleanup.append(e))
+    c2 = pool.then(c1, lambda v: ran.append(2))
     pool.fail(root, 110)
     assert ran == []                      # callbacks never run on failure
     assert cleanup == [110]               # on_fail observed the error
@@ -39,7 +39,7 @@ def test_failure_short_circuits_chain():
 def test_callback_exception_becomes_failure():
     pool = PromisePool()
     root = pool.create()
-    c = pool.then(root, lambda a, v: 1 // 0)
+    c = pool.then(root, lambda v: 1 // 0)
     pool.fulfill(root, 1)
     assert c.state == FAILED
     assert isinstance(c.error, ZeroDivisionError)
@@ -87,24 +87,12 @@ def test_poll_states_and_constant_cost():
     assert poll(p) == FULFILLED
 
 
-def test_arg_slots_bounded_int64():
-    pool = PromisePool()
-    root = pool.create()
-    pool.then(root, lambda a, v: a, args=(1, 2, 3, 4, 5, 6, 7, 8))
-    with pytest.raises(PoolExhausted):
-        pool.then(root, lambda a, v: a, args=tuple(range(9)))
-    with pytest.raises(PoolExhausted):
-        pool.then(root, lambda a, v: a, args=("str",))
-    with pytest.raises(PoolExhausted):
-        pool.then(root, lambda a, v: a, args=(1 << 65,))
-
-
 def test_continuation_budget_defers_excess():
     pool = PromisePool(continuation_budget=32)
     ran = []
     root = pool.create()
     for i in range(40):                   # fan-out of 40 direct children
-        pool.then(root, lambda a, v, i=i: ran.append(i))
+        pool.then(root, lambda v, i=i: ran.append(i))
     pool.fulfill(root, None)
     assert len(ran) == 32                 # budget per settle call
     assert pool.deferred_count == 8
@@ -119,7 +107,7 @@ def test_linear_chain_budget():
     root = pool.create()
     prev = root
     for i in range(10):
-        prev = pool.then(prev, lambda a, v, i=i: ran.append(i))
+        prev = pool.then(prev, lambda v, i=i: ran.append(i))
     pool.fulfill(root, None)
     assert len(ran) == 4
     while pool.deferred_count:
@@ -131,7 +119,7 @@ def test_adoption_settles_like_inner():
     pool = PromisePool()
     inner = pool.create()
     root = pool.create()
-    child = pool.then(root, lambda a, v: inner)  # callback returns a promise
+    child = pool.then(root, lambda v: inner)  # callback returns a promise
     pool.fulfill(root, 0)
     assert child.state == PENDING                # waits for the adopted one
     pool.fulfill(inner, 77)
@@ -195,6 +183,14 @@ def test_read_clamps_hostile_length():
     rt.pool.fulfill(inner, 100_000)       # host claims an absurd byte count
     assert p.state == FULFILLED
     assert len(p.value) == 64             # clamped to the arena window
+
+
+def test_negative_read_size_rejected_before_staging():
+    rt, fh = _rt_with_arena()
+    with pytest.raises(ValueError):
+        async_read(rt, 3, -1)
+    assert rt.submitted == [] and fh.requests == []
+    assert rt.arena_pool.accounting() == (0, 0, 0)
 
 
 def test_failed_write_frees_arena():
