@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .config import PAGE_SIZE, SIZE_CLASSES, SimConfig
+from .config import PAGE_SIZE, SIZE_CLASSES
 from .errors import ArenaFull, DoubleFree, PoolExhausted, UseAfterFree
 
 _MAX_CLASS = SIZE_CLASSES[-1]
@@ -86,8 +86,7 @@ class Arena:
 class ArenaPool:
     """Size-class bins over shared blocks, refilled one grant at a time."""
 
-    def __init__(self, handle, cfg: SimConfig):
-        # cfg is unused: the pool has no knobs of its own
+    def __init__(self, handle):
         self._handle = handle
         self._bins: dict[int, list[_FreeChunk]] = {}
         self._waiters: deque = deque()  # (class_bytes, promise)

@@ -5,7 +5,7 @@ from shared memory, so adversarial scribbling cannot change a bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PAGE_SIZE = 4096
 
@@ -70,7 +70,8 @@ class SimConfig:
 # Declared constant step bounds per hardened operation, measured as monitored
 # shared-memory accesses during the call. The fuzz harness asserts
 # measured <= bound; every loop in the hardened API is capped by one of the
-# static quantities below, never by a shared-memory value.
+# static quantities below, never by a shared-memory value. prep_and_submit's
+# constant also covers the doorbell's wake-record write.
 def step_bounds(cfg: SimConfig) -> dict[str, int]:
     return {
         "try_get_sqe": 4,

@@ -79,7 +79,6 @@ class RingHandle:
         self._space = space
         self._kernel = kernel
         self.pool = pool
-        self._cfg = cfg
         self._drop_budget = cfg.drop_budget
         # every in-flight record belongs to a pending promise, so the promise
         # pool's cap also bounds the table
@@ -149,7 +148,9 @@ class RingHandle:
         return internal
 
     def _publish_ready(self) -> None:
-        # publish the maximal contiguous prefix of filled reservations
+        # publish the maximal contiguous prefix of filled reservations, then
+        # ring the one doorbell if any: every publish path ends here
+        unpublished = len(self._pending_slots)
         while self._pending_slots:
             seq, sqe = next(iter(self._pending_slots.items()))
             if sqe is None:
@@ -157,6 +158,8 @@ class RingHandle:
             if not self._sq.produce(sqe):
                 break  # scribbled head can fake fullness; retried on pump
             del self._pending_slots[seq]
+        if len(self._pending_slots) < unpublished:
+            self._kernel.ring_enter(self._space.owner)
 
     # --- completion side ---
 

@@ -10,9 +10,11 @@ otherwise. Results, timings and traces equal those of a loop that pumps
 every tick. The layer converts the three ways a wait can end into errno
 conventions: negative errno for host refusals, -ETIMEDOUT when the caller's
 deadline passes, -EINTR when an alarm fires first, -EAGAIN for a zero-timeout
-probe that would block. Timed-out calls abandon their promise and retire the
-submission's correlation record, so a straggler completion is dropped as
-unknown and settles nothing and frees nothing twice.
+probe that would block. A call that gives up abandons its promise and
+retires the records carrying that promise's tag, which drops a direct
+submission's straggler (getpid). A staged call's record carries the inner
+submission's tag, so it stays: a late completion still frees the arena, and
+a missing one holds record, promises and arena for good (ROADMAP item 5).
 
 The file facade stages writes privately and submits block-multiple chunks at
 tracked offsets with one write in flight per file; write errors surface on a
@@ -28,7 +30,7 @@ from . import ring as ringmod
 from .config import EAGAIN, EFAULT, EINTR, EIO, ENOMEM, ETIMEDOUT
 from .enclave import SqeArgs
 from .errors import PoolExhausted, RegistrationRejected, Untranslatable
-from .promise import (FAILED, FULFILLED, PENDING, async_open, async_path_op,
+from .promise import (FAILED, FULFILLED, async_open, async_path_op,
                       async_read, async_statx, async_write)
 
 

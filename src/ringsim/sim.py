@@ -35,9 +35,8 @@ class TrustedKernel:
     plus a record in the shared wake queue page.
     """
 
-    def __init__(self, authority: MemoryAuthority, cfg: SimConfig):
+    def __init__(self, authority: MemoryAuthority):
         self.authority = authority
-        self.cfg = cfg
         self.host: HostOs | None = None
         self.max_regions_per_owner = 128
         self._regions_by_owner: dict[str, int] = {}
@@ -55,10 +54,9 @@ class TrustedKernel:
         host.wake_window = host.proxy_space.access(hm.base, PAGE_SIZE, "r")
 
     def ring_enter(self, caller: str) -> None:
-        """Trusted syscall surface for "work is queued": append to the wake
-        queue and raise the (masked) host interrupt."""
-        if self.host is None:
-            return
+        """Trusted syscall surface for "work is queued", rung by
+        RingHandle._publish_ready only: append to the wake queue and raise
+        the (masked) host interrupt."""
         ordinal = self._caller_ordinals.setdefault(caller,
                                                    len(self._caller_ordinals))
         self._wake_count = (self._wake_count + 1) & 0xFFFFFFFF
@@ -91,23 +89,20 @@ class TrustedKernel:
 class EnclaveRuntime:
     """Event-loop facade handed to enclave task bodies.
 
-    Owns the hardened ring handle, the promise pool, and the arena pool for
-    one enclave. pump() is the only place completions are drained, so a task
-    controls exactly when untrusted data enters.
+    Owns the hardened ring handle (and so its promise pool) and the arena
+    pool of one enclave. pump() is the only place completions are drained,
+    so a task controls exactly when untrusted data enters.
     """
 
-    def __init__(self, name: str, handle: RingHandle, pool: PromisePool,
-                 arena_pool: ArenaPool, sched: BudgetScheduler,
-                 kernel: TrustedKernel, cfg: SimConfig,
-                 device: SecureSerialDevice):
+    def __init__(self, name: str, handle: RingHandle, sched: BudgetScheduler,
+                 cfg: SimConfig, device: SecureSerialDevice):
         self.name = name
         self.handle = handle
-        self.pool = pool
-        self.arena_pool = arena_pool
+        self.pool = handle.pool
+        self.arena_pool = ArenaPool(handle)
         self.cfg = cfg
         self.device = device
         self._sched = sched
-        self._kernel = kernel
         self.detections = 0  # app-level integrity check failures
 
     def now(self) -> int:
@@ -117,7 +112,6 @@ class EnclaveRuntime:
         """Queue one submission; promise of its completion result."""
         p = self.pool.create()
         self.handle.submit_or_park(opcode, args, p.tag)
-        self._kernel.ring_enter(self.name)
         return p
 
     def pump(self, max_events: int | None = None) -> int:
@@ -177,7 +171,7 @@ class Simulation:
         self.authority = MemoryAuthority()
         self.authority.table.set_quota("proxy", 8192)
         self.authority.table.set_quota("kernel", 16)
-        self.kernel = TrustedKernel(self.authority, self.cfg)
+        self.kernel = TrustedKernel(self.authority)
         self.device = SecureSerialDevice(tx_capacity=1 << 20)
         self.sched = BudgetScheduler(sched_policy)
         self.vfs = VirtualFs.from_manifest(manifest) if manifest else VirtualFs()
@@ -269,12 +263,10 @@ class Simulation:
         # per-enclave grant id space keeps host registrations collision-free
         handle = RingHandle(sq, cq, space, self.kernel, pool, cfg,
                             region_base=(len(self.runtimes) + 1) << 20)
-        rt = EnclaveRuntime(name, handle, pool, ArenaPool(handle, cfg),
-                            self.sched, self.kernel, cfg, self.device)
+        rt = EnclaveRuntime(name, handle, self.sched, cfg, self.device)
         body = body_factory(rt)
         self.sched.admit(name, ENCLAVE, period, budget, body, priority)
         rt.arena_pool.prefill(env or {})
-        self.kernel.ring_enter(name)
         self.runtimes[name] = rt
         return rt
 

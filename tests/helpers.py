@@ -30,12 +30,23 @@ def dual_windows(auth: MemoryAuthority, espace, pspace, nbytes: int,
             pspace.access(mp.base, nbytes, "rw"), pages)
 
 
+class StubKernel:
+    """Trusted-kernel stand-in that records each ring enter's caller."""
+
+    def __init__(self):
+        self.enters: list[str] = []
+
+    def ring_enter(self, caller: str) -> None:
+        self.enters.append(caller)
+
+
 def ring_world(cfg: SimConfig | None = None):
     """RingHandle wired to host-side ring views, no scheduler, no host model.
 
     Returns (auth, handle, host_sq, host_cq) where host_sq consumes
     submissions and host_cq produces completions, exactly like the host OS
-    would through its own mapping of the same pages.
+    would through its own mapping of the same pages. The handle's kernel is
+    a StubKernel, so `handle._kernel.enters` lists the doorbells rung.
     """
     cfg = cfg or SimConfig()
     auth = MemoryAuthority()
@@ -50,7 +61,7 @@ def ring_world(cfg: SimConfig | None = None):
     host_sq = sq_ring_attach(sqw_p, cfg.sq_entries)
     host_cq = cq_ring_attach(cqw_p, cfg.cq_entries)
     pool = PromisePool(cfg.max_outstanding_promises, cfg.continuation_budget)
-    handle = RingHandle(sq, cq, espace, None, pool, cfg)
+    handle = RingHandle(sq, cq, espace, StubKernel(), pool, cfg)
     return auth, handle, host_sq, host_cq
 
 

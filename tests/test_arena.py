@@ -4,18 +4,15 @@ import random
 import pytest
 
 from ringsim.arena import ArenaPool, _greedy_classes, size_class
-from ringsim.config import INIT_SHM_ENV, PAGE_SIZE, SIZE_CLASSES, SimConfig
+from ringsim.config import INIT_SHM_ENV, PAGE_SIZE, SIZE_CLASSES
 from ringsim.errors import ArenaFull, DoubleFree, PoolExhausted, UseAfterFree
 from ringsim.promise import FAILED, FULFILLED, PENDING
 
 from helpers import FakeHandle
 
-CFG = SimConfig()
-
-
 def _pool():
     fh = FakeHandle()
-    return ArenaPool(fh, CFG), fh
+    return ArenaPool(fh), fh
 
 
 def _get(pool, fh, size):

@@ -338,3 +338,35 @@ def test_parking_drains_after_capacity_frees():
     h.pump_parked()
     assert h.parked_count == 0
     assert len(host_sq.consume_batch(8)) == 4
+
+
+def test_doorbell_rings_once_per_publish_that_moves_the_tail():
+    _, h, host_sq, host_cq = _world()
+    enters = h._kernel.enters
+    h.prep_and_submit(h.try_get_sqe(), 2, SqeArgs(), caller_tag=1)
+    assert enters == ["encl"]
+    # a fill behind an earlier open reservation publishes nothing
+    first, second = h.try_get_sqe(), h.try_get_sqe()
+    h.prep_and_submit(second, 2, SqeArgs(), caller_tag=3)
+    assert len(enters) == 1 and h.unpublished_count == 2
+    # closing the gap publishes both entries behind one doorbell
+    h.prep_and_submit(first, 2, SqeArgs(), caller_tag=2)
+    assert len(enters) == 2 and h.unpublished_count == 0
+    assert len(host_sq.consume_batch(8)) == 3
+    # nothing parked or unpublished: a pump is silent
+    h.pump_parked()
+    assert len(enters) == 2
+    # fill the ring, park one, then free the ring: the pump that publishes
+    # the parked submission rings exactly once
+    for tag in range(10, 19):  # 8-slot ring: the ninth parks
+        h.submit_or_park(2, SqeArgs(), tag)
+    assert h.parked_count == 1 and len(enters) == 10
+    h.pump_parked()
+    assert h.parked_count == 1 and len(enters) == 10  # ring still full
+    for sqe in host_sq.consume_batch(8):
+        host_cq.produce(Cqe(sqe.user_data, 0, 0))
+    while h.peek_cqe() is not None:
+        h.consume_cqe()
+    h.pump_parked()
+    assert h.parked_count == 0 and len(enters) == 11
+    assert len(host_sq.consume_batch(8)) == 1

@@ -151,7 +151,7 @@ def _rt_with_arena():
     fh = FakeHandle()
     rt = FakeRT()
     rt.pool = fh.pool
-    rt.arena_pool = ArenaPool(fh, rt.cfg)
+    rt.arena_pool = ArenaPool(fh)
     return rt, fh
 
 

@@ -1,9 +1,12 @@
 """Whole-platform wiring: launch flow, grant attach, liveness under silence."""
 from ringsim import ring as ringmod
+from ringsim.config import SimConfig
 from ringsim.enclave import SqeArgs
 from ringsim.errors import RegistrationRejected, Untranslatable
 from ringsim.host import AdversaryPolicy
-from ringsim.promise import FAILED, FULFILLED, PENDING, poll
+from ringsim.promise import (FAILED, FULFILLED, PENDING, async_open,
+                             async_read, poll)
+from ringsim.shim import sync_call
 
 from helpers import app_sim, spawn_app
 
@@ -144,3 +147,53 @@ def test_spawn_storm_all_complete():
     assert all(o.get("pid") == sim.host.pid for o in outs)
     alive = [t for t in sim.sched.tasks.values() if t.alive]
     assert [t.name for t in alive] == ["host0"]  # every app exited cleanly
+
+
+# --- doorbell: every publish wakes an idle poller ---
+
+def _poller_slept(sim) -> bool:
+    return any(ev[0] == "poller_sleep" for ev in sim.host.events)
+
+
+def test_arena_refill_wakes_an_idle_poller():
+    # no launch grant: the 3000-byte read needs a refill grant, whose
+    # OP_ENCLAVE_MMAP is published after the poller has gone to sleep
+    sim = app_sim("/data/\n/data/f 8192 4096 0\n")
+
+    def body(rt, out):
+        fd = yield from sync_call(rt, async_open(rt, b"/data/f"), 5_000_000)
+        out["first"] = yield from sync_call(rt, async_read(rt, fd, 64),
+                                            5_000_000)
+        for _ in range(20):  # idle for ~2 ms: the poller sleeps
+            yield ("yield",)
+        out["slept"] = _poller_slept(sim)
+        out["got"] = yield from sync_call(rt, async_read(rt, fd, 3000),
+                                          5_000_000)
+
+    rt, out = spawn_app(sim, body)
+    sim.run_until(30_000_000)
+    assert len(out["first"]) == 64
+    assert out["slept"]
+    assert not isinstance(out["got"], int), f"read failed: {out['got']}"
+    assert len(out["got"]) == 3000
+
+
+def test_pumped_parked_submissions_wake_an_idle_poller():
+    sim = app_sim(cfg=SimConfig(sq_entries=2, cq_entries=2))
+
+    def body(rt, out):
+        ps = [rt.submit_async(ringmod.OP_GETPID, SqeArgs()) for _ in range(6)]
+        out["parked"] = rt.handle.parked_count
+        yield ("compute", 40_000)
+        for _ in range(15):  # idle for ~1.5 ms: the poller sleeps
+            yield ("yield",)
+        out["slept"] = _poller_slept(sim)
+        out["pids"] = []
+        for p in ps:
+            out["pids"].append((yield from sync_call(rt, p, 3_000_000)))
+
+    rt, out = spawn_app(sim, body)
+    sim.run_until(30_000_000)
+    assert out["parked"] == 4
+    assert out["slept"]
+    assert out["pids"] == [sim.host.pid] * 6
