@@ -18,6 +18,7 @@ from typing import NamedTuple
 from . import ring as ringmod
 from .config import DEEP_TRANSLATE_MAX, PAGE_SIZE, SimConfig
 from .errors import EmptyConsume, StaleSqeId, Untranslatable
+from .records import DeliveryLog
 from .ring import Ring, Sqe
 from .shm import AddressSpace, MemoryWindow
 
@@ -93,7 +94,7 @@ class RingHandle:
         self._bases: list[int] = []
         self._region_counter = region_base
         self._parked: deque = deque()
-        self.delivered_log: list[tuple[int, int]] = []  # (internal_id, result)
+        self.delivered_log = DeliveryLog()  # (internal_id, result)
 
     # --- submission reservation ---
 
@@ -121,6 +122,13 @@ class RingHandle:
         buffered and the tail is published over the contiguous prefix. An
         untranslatable buffer raises and gives the reservation up.
         """
+        internal = self._fill(sid, opcode, args, caller_tag)
+        self._publish_ready()
+        return internal
+
+    def _fill(self, sid: SqeId, opcode: int, args: SqeArgs,
+              caller_tag: int) -> int:
+        """prep_and_submit without the publish."""
         slot = self._pending_slots.get(sid.seq, "missing")
         if slot is not None:
             raise StaleSqeId(f"reservation {sid.seq} not open")
@@ -144,7 +152,6 @@ class RingHandle:
         self._open_reservations -= 1
         self._pending_slots[sid.seq] = Sqe(opcode, args.flags, args.fd, addr,
                                            args.len, args.off, internal)
-        self._publish_ready()
         return internal
 
     def _publish_ready(self) -> None:
@@ -183,7 +190,7 @@ class RingHandle:
             if rec is not None:
                 comp = Completion(rec.tag, raw.result, raw.flags,
                                   raw.user_data, rec.opcode)
-                self.delivered_log.append((raw.user_data, raw.result))
+                self.delivered_log.record(raw.user_data, raw.result)
                 self._front = comp
                 return comp
             if drops >= self._drop_budget:
@@ -304,14 +311,17 @@ class RingHandle:
         return self.prep_and_submit(sid, opcode, args, tag)
 
     def pump_parked(self) -> None:
-        self._publish_ready()
-        for _ in range(len(self._parked)):
-            opcode, args, tag = self._parked.popleft()
-            sid = self.try_get_sqe()
-            if sid is None:
-                self._parked.appendleft((opcode, args, tag))
-                break
-            self.prep_and_submit(sid, opcode, args, tag)
+        """Fill every parked submission a reservation can be had for, in
+        order, then publish them all behind one doorbell (also what an
+        earlier publish left behind)."""
+        try:
+            while self._parked:
+                sid = self.try_get_sqe()
+                if sid is None:
+                    break
+                self._fill(sid, *self._parked.popleft())
+        finally:
+            self._publish_ready()
 
     @property
     def parked_count(self) -> int:

@@ -7,6 +7,28 @@ policy transform applied between consuming a submission and delivering its
 completion: deny, delay, corrupt, duplicate, flood, plus the global
 kill_proxy / ring scribbling / refuse-to-wake actions.
 
+`HostOs.events` records what the host did, as packed records of ten kinds
+(the field layouts live in `records.py`); each reads back as a tuple that
+starts with its kind:
+
+    ("poller_wake", now)             poller woken by a doorbell
+    ("poller_sleep", now)            poller idle past its timeout
+    ("kill_proxy", now)              proxy killed, descriptors torn down
+    ("cqe", eid, user_data, result)  completion produced
+    ("cqe_dropped", eid, user_data)  completion lost to a full CQ
+    ("sqe", now, eid, op, user_data) submission consumed
+    ("deny", now, op, user_data)     submission denied, never completed
+    ("read_payload", now, eid, user_data, path, clean, off, n, result)
+                                     read completion produced; clean is
+                                     False when the corrupt transform
+                                     touched the payload
+    ("reg_atomic", region_id, atomic)
+                                     hostile registration refused, authority
+                                     state unchanged iff atomic
+    ("registration_rejected", region_id, error)
+                                     grant registration refused (exception
+                                     name)
+
 Nothing here is trusted: the enclave-side modules never read host state
 except through the shared rings and granted windows.
 """
@@ -21,6 +43,7 @@ from . import ring as ringmod
 from .config import (EBADF, EEXIST, EFAULT, EINVAL, EIO, ENOENT, ENOMEM,
                      PAGE_SIZE, SimConfig)
 from .errors import BusFault, OutOfMemory, QuotaExceeded, RegistrationError
+from .records import HostEvents
 from .ring import WAKE_FMT, Cqe, Sqe
 from .shm import NORMAL, AddressSpace, MemoryAuthority
 
@@ -134,6 +157,8 @@ class VirtualFs:
 # --- adversary policy ---
 
 HONEST = ("honest",)
+# the corrupt transform's byte map: every payload byte XOR 0xA5
+_XOR_A5 = bytes(b ^ 0xA5 for b in range(256))
 
 
 @dataclass
@@ -193,7 +218,7 @@ class HostOs:
         self.pending_wake = False
         self.proxy_alive = True
         self.serviced = 0
-        self.events: list[tuple] = []
+        self.events = HostEvents()
         self.wake_window = None            # reader view of the wake region
         self._wake_seen = 0
         self.scribble_targets: list = []   # proxy-side windows of shared regions
@@ -229,7 +254,7 @@ class HostOs:
             if not self.policy.never_wake and self.proxy_alive:
                 self._drain_wake_region()
                 if not self.poller_awake:
-                    self.events.append(("poller_wake", now))
+                    self.events.poller_wake(now)
                 self.poller_awake = True
                 self.idle_deadline = now + self.cfg.poller_idle_timeout
         served = self._deliver_due(now)
@@ -279,7 +304,7 @@ class HostOs:
             self.idle_deadline = now + self.cfg.poller_idle_timeout
         elif now >= self.idle_deadline and self.poller_awake:
             self.poller_awake = False
-            self.events.append(("poller_sleep", now))
+            self.events.poller_sleep(now)
         return total
 
     def _scribble(self, now: int) -> None:
@@ -296,7 +321,7 @@ class HostOs:
         self.poller_awake = False
         self.fds.clear()
         self.workers.clear()
-        self.events.append(("kill_proxy", now))
+        self.events.kill_proxy(now)
 
     # --- servicing ---
 
@@ -309,14 +334,18 @@ class HostOs:
         heapq.heappush(self.workers, (ready, self._wseq, fn))
         self._wseq += 1
 
-    def _produce_cqe(self, eid: str, cqe: Cqe, note: tuple | None = None) -> bool:
+    def _produce_cqe(self, eid: str, cqe: Cqe) -> bool:
+        """Put cqe on eid's CQ; a full CQ drops it, recorded as cqe_dropped.
+        The caller records a produced completion."""
         _sq, cq = self.rings[eid]
         if cq.produce(cqe):
-            self.events.append(("cqe", eid, cqe.user_data, cqe.result)
-                               if note is None else note)
             return True
-        self.events.append(("cqe_dropped", eid, cqe.user_data))
+        self.events.cqe_dropped(eid, cqe.user_data)
         return False
+
+    def _deliver_cqe(self, eid: str, cqe: Cqe) -> None:
+        if self._produce_cqe(eid, cqe):
+            self.events.cqe(eid, cqe.user_data, cqe.result)
 
     def _read_proxy(self, addr: int, n: int) -> bytes | None:
         try:
@@ -335,9 +364,9 @@ class HostOs:
         self.serviced += 1
         name = ringmod.OP_NAMES.get(sqe.opcode, "invalid")
         tf = self.policy.transform_for(name)
-        self.events.append(("sqe", now, eid, name, sqe.user_data))
+        self.events.sqe(now, eid, name, sqe.user_data)
         if tf[0] == "deny":
-            self.events.append(("deny", now, name, sqe.user_data))
+            self.events.deny(now, name, sqe.user_data)
             return
         delay = tf[1] if tf[0] == "delay" else 0
         corrupt = tf[0] == "corrupt"
@@ -351,7 +380,7 @@ class HostOs:
         for i in range(flood):
             junk = Cqe((1 << 63) | self.rng.getrandbits(62),
                        self.rng.randrange(-100, 100), 0)
-            self._schedule(ready + i, lambda t, c=junk: self._produce_cqe(eid, c))
+            self._schedule(ready + i, lambda t, c=junk: self._deliver_cqe(eid, c))
 
     def _build_completion(self, eid: str, sqe: Sqe, corrupt: bool):
         """Compute the op now; apply byte effects and CQE at delivery time."""
@@ -362,7 +391,7 @@ class HostOs:
             if corrupt:
                 tampered = True
                 if payload is not None:
-                    payload = bytes(b ^ 0xA5 for b in payload)
+                    payload = payload.translate(_XOR_A5)
                 else:
                     result = -EIO if result >= 0 else result
             if payload_addr is not None and payload is not None:
@@ -370,12 +399,12 @@ class HostOs:
                     result = -EFAULT
                     payload = None
             cqe = Cqe(sqe.user_data, result, 0)
-            note = None
-            if sqe.opcode == ringmod.OP_READ and payload is not None:
-                path = self.fds.get(sqe.fd)
-                note = ("read_payload", now, eid, sqe.user_data, path,
-                        not tampered, sqe.off, len(payload), result)
-            self._produce_cqe(eid, cqe, note)
+            if sqe.opcode != ringmod.OP_READ or payload is None:
+                self._deliver_cqe(eid, cqe)
+            elif self._produce_cqe(eid, cqe):
+                self.events.read_payload(now, eid, sqe.user_data,
+                                         self.fds.get(sqe.fd), not tampered,
+                                         sqe.off, len(payload), result)
 
         return deliver
 
@@ -462,10 +491,9 @@ class HostOs:
             self.authority.register_shared(reg_pages, region_id, reg_size)
         except RegistrationError as exc:
             if attack:
-                self.events.append(("reg_atomic", region_id,
-                                    self.authority.state_digest() == before))
-            self.events.append(("registration_rejected", region_id,
-                                type(exc).__name__))
+                self.events.reg_atomic(
+                    region_id, self.authority.state_digest() == before)
+            self.events.registration_rejected(region_id, type(exc).__name__)
             if not attack:
                 self.authority.free_pages(pages, "proxy")
                 return (-EINVAL, None, None)

@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import AdmissionRejected
+from .records import SchedTrace
 
 FP = "fp"
 EDF = "edf"
@@ -79,7 +80,7 @@ class BudgetScheduler:
         self._order: list[TaskControl] = []
         self._running: TaskControl | None = None
         self._next_tid = 0
-        self.trace: list[tuple[int, str, str]] = []
+        self.trace = SchedTrace()  # (now, task, event)
         self.trace_enabled = True
         self.record_timeline = False
         self.timeline: list[tuple[int, int, str]] = []
@@ -117,7 +118,7 @@ class BudgetScheduler:
 
     def _emit(self, task: TaskControl, event: str) -> None:
         if self.trace_enabled:
-            self.trace.append((self.now, task.name, event))
+            self.trace.record(self.now, task.name, event)
 
     def export_trace_lines(self) -> list[str]:
         return [f"{t} {name} {event}" for t, name, event in self.trace]

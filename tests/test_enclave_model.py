@@ -41,10 +41,11 @@ class CorrelationTable(RuleBasedStateMachine):
         self.parked: list[int] = []          # tags, in submission order
         self.consumed: list[int] = []        # user_data the host has seen
         self.cq: deque = deque()             # user_data on the CQ, in order
-        prep = self.h.prep_and_submit
+        # every receipt, direct or pumped, is minted by one fill
+        fill = self.h._fill
 
         def spy(sid, opcode, args, tag):
-            receipt = prep(sid, opcode, args, tag)
+            receipt = fill(sid, opcode, args, tag)
             assert receipt not in self.inflight and receipt not in self.delivered
             if tag in self.parked:
                 assert self.parked[0] == tag  # parked work leaves in order
@@ -52,7 +53,7 @@ class CorrelationTable(RuleBasedStateMachine):
             self.inflight[receipt] = tag
             return receipt
 
-        self.h.prep_and_submit = spy
+        self.h._fill = spy
 
     # --- enclave side ---
 

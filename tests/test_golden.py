@@ -119,7 +119,8 @@ def _fleet_body(rt, out, read_len, rec_len, compute, flush_every, timeout):
         yield ("yield",)
 
 
-def _fleet_case(host: str) -> str:
+def _fleet_sim(host: str):
+    """-> (Simulation, outs) after the fixed-time run against `host`."""
     # 512-byte log blocks and a small staging cap make the big tlm records
     # wait for the drain
     cfg = SimConfig(write_staging_cap=2048)
@@ -138,6 +139,11 @@ def _fleet_case(host: str) -> str:
             env={INIT_SHM_ENV: "65536"}, priority=prio)
     for t in range(10_000_000, 60_000_001, 10_000_000):
         sim.run_until(t)  # several calls: waits must survive re-entry
+    return sim, outs
+
+
+def _fleet_case(host: str) -> str:
+    sim, outs = _fleet_sim(host)
     return _digest(outs, [sim])
 
 

@@ -197,3 +197,34 @@ def test_pumped_parked_submissions_wake_an_idle_poller():
     assert out["parked"] == 4
     assert out["slept"]
     assert out["pids"] == [sim.host.pid] * 6
+
+
+def test_pump_rings_one_doorbell_for_every_parked_submission_it_publishes():
+    sim = app_sim(cfg=SimConfig(sq_entries=2, cq_entries=2))
+    enters, per_pump = [], []
+    ring_enter = sim.kernel.ring_enter
+    sim.kernel.ring_enter = lambda caller: (enters.append(caller),
+                                            ring_enter(caller))
+
+    def body(rt, out):
+        pump_parked = rt.handle.pump_parked
+
+        def counted_pump():
+            before = len(enters)
+            pump_parked()
+            if len(enters) > before:
+                per_pump.append(len(enters) - before)
+
+        rt.handle.pump_parked = counted_pump
+        ps = [rt.submit_async(ringmod.OP_GETPID, SqeArgs()) for _ in range(12)]
+        out["parked"] = rt.handle.parked_count
+        yield from _settle(rt, out, ps)
+        out["pids"] = [p.value for p in ps]
+
+    rt, out = spawn_app(sim, body)
+    sim.run_until(5_000_000)
+    assert out["parked"] == 10
+    assert out["pids"] == [sim.host.pid] * 12
+    # two ring slots free up between pumps: each publishing pump fills both
+    # and rings once
+    assert per_pump == [1, 1, 1, 1, 1]
