@@ -9,10 +9,9 @@ check exactly that, reproducibly.
 """
 
 from .arena import Arena, ArenaPool, size_class
-from .config import DEEP_TRANSLATE_MAX, PAGE_SIZE, SIZE_CLASSES, SimConfig, \
-    step_bounds
+from .config import PAGE_SIZE, SIZE_CLASSES, SimConfig, step_bounds
 from .device import SecureSerialDevice
-from .enclave import (Completion, RingHandle, SharedBlock, SqeArgs, SqeId,
+from .enclave import (Completion, RingHandle, SharedBlock, SqeArgs,
                       TranslationEntry)
 from .errors import *  # noqa: F401,F403 - stable error vocabulary
 from .host import AdversaryPolicy, HostOs, VirtualFs

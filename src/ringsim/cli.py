@@ -18,12 +18,10 @@ from . import scenario as sc
 
 
 def _emit(rows: list[dict], kind: str, seed: int, out: str | None) -> None:
-    lines = sc.report_lines(kind, seed, rows)
     if out:
-        with open(out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        sc.write_report(out, kind, seed, rows)
     else:
-        print("\n".join(lines))
+        print("\n".join(sc.report_lines(kind, seed, rows)))
 
 
 def main(argv: list[str] | None = None) -> int:

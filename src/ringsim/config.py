@@ -70,20 +70,15 @@ class SimConfig:
 # Declared constant step bounds per hardened operation, measured as monitored
 # shared-memory accesses during the call. The fuzz harness asserts
 # measured <= bound; every loop in the hardened API is capped by one of the
-# static quantities below, never by a shared-memory value. prep_and_submit's
-# constant also covers the doorbell's wake-record write.
+# static quantities below, never by a shared-memory value.
 def step_bounds(cfg: SimConfig) -> dict[str, int]:
     return {
-        "try_get_sqe": 4,
-        "prep_and_submit": 6 + 3 * cfg.sq_entries,  # contiguous-prefix publish
-        "deep_translate": 4 + 2 * 64,               # vector length cap below
+        # room check and produce load the head once each, then the slot
+        # write, the tail store and the doorbell's wake-record write
+        "prep_and_submit": 5,
         # worst case: budget+1 peeks (2 accesses each) + budget drops (2 each)
         "peek_cqe": 2 + 4 * cfg.drop_budget,
         "consume_cqe": 4,
         "cq_backlog": 2,
         "translate_addr": 1,                        # private table only
     }
-
-
-# deep_translate refuses vectors longer than this (private bound).
-DEEP_TRANSLATE_MAX = 64

@@ -1,29 +1,26 @@
 """Hardened enclave-side interface to the shared rings.
 
-Callers never touch ring memory directly: submissions are reserved through
-index-based handles, completion correlation state lives in a private table
-keyed by a strictly monotonic internal id, and every address that enters a
-submission is translated through a private, sorted translation table. All
-operations run a statically bounded number of steps regardless of anything
-the host writes into shared memory.
+Callers never touch ring memory directly: a submission is translated,
+produced and recorded in one call (or parked while the ring or the table is
+full), completion correlation state lives in a private table keyed by a
+strictly monotonic internal id, and every address that enters a submission
+is translated through a private, sorted translation table. All operations
+run a statically bounded number of steps regardless of anything the host
+writes into shared memory.
 """
 from __future__ import annotations
 
 import bisect
-import struct
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ring as ringmod
-from .config import DEEP_TRANSLATE_MAX, PAGE_SIZE, SimConfig
-from .errors import EmptyConsume, StaleSqeId, Untranslatable
+from .config import PAGE_SIZE, SimConfig
+from .errors import EmptyConsume, Untranslatable
 from .records import DeliveryLog
 from .ring import Ring, Sqe
 from .shm import AddressSpace, MemoryWindow
-
-# one deep_translate record: buffer address u64, length u64
-_IOVEC = struct.Struct("<QQ")
 
 
 @dataclass(frozen=True)
@@ -32,12 +29,6 @@ class TranslationEntry:
     enclave_base: int
     proxy_base: int
     size: int
-
-
-@dataclass(frozen=True)
-class SqeId:
-    """Opaque reservation handle; valid for exactly one submission."""
-    seq: int
 
 
 @dataclass
@@ -86,9 +77,6 @@ class RingHandle:
         self._table_cap = cfg.max_outstanding_promises
         self._table: dict[int, _UserRecord] = {}  # in-flight records only
         self._next_internal = 1  # strictly monotonic, never reused
-        self._next_seq = 1
-        self._pending_slots: OrderedDict[int, Sqe | None] = OrderedDict()
-        self._open_reservations = 0  # pending slots not yet filled
         self._front: Completion | None = None
         self._entries_list: list[TranslationEntry] = []
         self._bases: list[int] = []
@@ -96,77 +84,49 @@ class RingHandle:
         self._parked: deque = deque()
         self.delivered_log = DeliveryLog()  # (internal_id, result)
 
-    # --- submission reservation ---
+    # --- submission ---
 
-    def try_get_sqe(self) -> SqeId | None:
-        """Reserve a submission slot. None when the ring or the correlation
-        table (plus outstanding reservations) is at capacity."""
-        if len(self._table) + self._open_reservations >= self._table_cap:
-            return None
-        occ = self._sq.producer_occupancy()
-        if occ + len(self._pending_slots) >= self._sq.entries:
-            return None
-        seq = self._next_seq
-        self._next_seq += 1
-        self._pending_slots[seq] = None
-        self._open_reservations += 1
-        return SqeId(seq)
-
-    def prep_and_submit(self, sid: SqeId, opcode: int, args: SqeArgs,
-                        caller_tag: int) -> int:
-        """Fill a reserved slot and publish.
+    def prep_and_submit(self, opcode: int, args: SqeArgs,
+                        caller_tag: int) -> int | None:
+        """Translate, publish and record one submission, then ring the
+        doorbell.
 
         The caller tag goes into the private table, never into shared memory;
-        the published user_data is a fresh internal id. Returns that id as an
-        opaque receipt (usable with retire()). Out-of-order submissions are
-        buffered and the tail is published over the contiguous prefix. An
-        untranslatable buffer raises and gives the reservation up.
+        the published user_data is a fresh internal id, returned as an opaque
+        receipt (usable with retire()). While the table or the ring is full
+        the submission is parked for pump_parked() instead, and the result is
+        None. An untranslatable buffer raises and changes nothing.
         """
-        internal = self._fill(sid, opcode, args, caller_tag)
-        self._publish_ready()
-        return internal
+        if self._has_room():
+            internal = self._push(opcode, args, caller_tag)
+            if internal is not None:
+                self._kernel.ring_enter(self._space.owner)
+                return internal
+        self._parked.append((opcode, args, caller_tag))
+        return None
 
-    def _fill(self, sid: SqeId, opcode: int, args: SqeArgs,
-              caller_tag: int) -> int:
-        """prep_and_submit without the publish."""
-        slot = self._pending_slots.get(sid.seq, "missing")
-        if slot is not None:
-            raise StaleSqeId(f"reservation {sid.seq} not open")
+    def _has_room(self) -> bool:
+        return len(self._table) < self._table_cap and \
+            self._sq.producer_occupancy() < self._sq.entries
+
+    def _push(self, opcode: int, args: SqeArgs, caller_tag: int) -> int | None:
+        """prep_and_submit after its room check, without the doorbell. None,
+        with nothing recorded, when the produce finds the ring full after
+        all (the shared head is the host's to move)."""
         addr = args.addr
         if args.translate and addr:
-            try:
-                addr = self.translate_addr(addr)
-                if args.len > 1:
-                    end = self.translate_addr(args.addr + args.len - 1)
-                    if end - addr != args.len - 1:
-                        raise Untranslatable(
-                            "buffer straddles translation entries")
-            except Untranslatable:
-                # an open reservation would block publishing every later one
-                del self._pending_slots[sid.seq]
-                self._open_reservations -= 1
-                raise
+            addr = self.translate_addr(addr)
+            if args.len > 1:
+                end = self.translate_addr(args.addr + args.len - 1)
+                if end - addr != args.len - 1:
+                    raise Untranslatable("buffer straddles translation entries")
         internal = self._next_internal
+        if not self._sq.produce(Sqe(opcode, args.flags, args.fd, addr,
+                                    args.len, args.off, internal)):
+            return None
         self._next_internal += 1
         self._table[internal] = _UserRecord(caller_tag, opcode)
-        self._open_reservations -= 1
-        self._pending_slots[sid.seq] = Sqe(opcode, args.flags, args.fd, addr,
-                                           args.len, args.off, internal)
         return internal
-
-    def _publish_ready(self) -> None:
-        # publish the maximal contiguous prefix of filled reservations, then
-        # ring the one doorbell if any: every publish path ends here
-        unpublished = len(self._pending_slots)
-        while self._pending_slots:
-            seq, sqe = next(iter(self._pending_slots.items()))
-            if sqe is None:
-                break
-            if not self._sq.produce(sqe):
-                break  # scribbled head can fake fullness; retried on pump
-            del self._pending_slots[seq]
-        if len(self._pending_slots) < unpublished:
-            self._kernel.ring_enter(self._space.owner)
 
     # --- completion side ---
 
@@ -211,7 +171,8 @@ class RingHandle:
 
     def retire(self, receipt: int) -> None:
         """Forget an internal id: a later completion for it is dropped as
-        unknown. Used for sync-call abandonment."""
+        unknown. Only the fuzzer drives it; a call that gives up retires
+        by tag instead (retire_tag)."""
         self._table.pop(receipt, None)
 
     def retire_tag(self, tag: int) -> None:
@@ -243,31 +204,6 @@ class RingHandle:
                 return e.proxy_base + (enclave_addr - e.enclave_base)
         raise Untranslatable(f"{enclave_addr:#x} not in any shared block")
 
-    def deep_translate(self, vec_addr: int, count: int) -> None:
-        """Rewrite (addr, len) records in shared memory to proxy addresses.
-
-        All-or-nothing: on any untranslatable record the full array is
-        restored from the pre-call snapshot before raising.
-        """
-        if count < 0 or count > DEEP_TRANSLATE_MAX:
-            raise Untranslatable(f"vector length {count} outside [0,{DEEP_TRANSLATE_MAX}]")
-        if count == 0:
-            return
-        win = self._space.access(vec_addr, count * 16, "w")
-        snapshot = win.read(0, count * 16)
-        try:
-            for i in range(count):
-                addr, ln = _IOVEC.unpack_from(snapshot, i * 16)
-                proxy = self.translate_addr(addr)
-                if ln > 1:
-                    end = self.translate_addr(addr + ln - 1)
-                    if end - proxy != ln - 1:
-                        raise Untranslatable("record straddles translation entries")
-                win.pack(_IOVEC, i * 16, proxy, ln)
-        except Untranslatable:
-            win.write(0, snapshot)
-            raise
-
     # --- mapped-block acquisition (drives the host grant flow) ---
 
     def enclave_mmap(self, size: int):
@@ -286,7 +222,7 @@ class RingHandle:
         region_id = self._region_counter
         raw = self.pool.create()
         args = SqeArgs(fd=0, addr=0, len=rsize, off=region_id, translate=False)
-        self.submit_or_park(ringmod.OP_ENCLAVE_MMAP, args, raw.tag)
+        self.prep_and_submit(ringmod.OP_ENCLAVE_MMAP, args, raw.tag)
         return self.pool.then(raw, lambda proxy_base: self._attach_block(
             rsize, region_id, proxy_base))
 
@@ -302,32 +238,22 @@ class RingHandle:
 
     # --- parked submissions (ring or correlation table temporarily full) ---
 
-    def submit_or_park(self, opcode: int, args: SqeArgs,
-                       tag: int) -> int | None:
-        sid = self.try_get_sqe()
-        if sid is None:
-            self._parked.append((opcode, args, tag))
-            return None
-        return self.prep_and_submit(sid, opcode, args, tag)
-
     def pump_parked(self) -> None:
-        """Fill every parked submission a reservation can be had for, in
-        order, then publish them all behind one doorbell (also what an
-        earlier publish left behind)."""
+        """Push parked submissions in order while there is room, then ring
+        one doorbell if any went out. Each entry leaves the queue before its
+        push, so an untranslatable one raises once and blocks nothing."""
+        pushed = False
         try:
-            while self._parked:
-                sid = self.try_get_sqe()
-                if sid is None:
+            while self._parked and self._has_room():
+                entry = self._parked.popleft()
+                if self._push(*entry) is None:
+                    self._parked.appendleft(entry)
                     break
-                self._fill(sid, *self._parked.popleft())
+                pushed = True
         finally:
-            self._publish_ready()
+            if pushed:
+                self._kernel.ring_enter(self._space.owner)
 
     @property
     def parked_count(self) -> int:
         return len(self._parked)
-
-    @property
-    def unpublished_count(self) -> int:
-        """Reservations not yet published: unfilled, or filled behind one."""
-        return len(self._pending_slots)

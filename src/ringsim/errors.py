@@ -59,10 +59,6 @@ class EmptyConsume(RingSimError):
 
 # --- hardened enclave API ---
 
-class StaleSqeId(RingSimError):
-    """Submission handle already used, or from a previous generation."""
-
-
 class Untranslatable(RingSimError):
     """Address not covered by any translation entry."""
 

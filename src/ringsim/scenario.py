@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import random
-import struct
 
 from . import ring as ringmod
 from .config import SimConfig, step_bounds
 from .enclave import SqeArgs
-from .errors import EmptyConsume, StaleSqeId, Untranslatable
+from .errors import EmptyConsume, Untranslatable
 from .host import AdversaryPolicy, _fill_bytes
 from .promise import async_open, async_read
 from .ring import Cqe
@@ -462,7 +461,7 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
     host_sq, host_cq = sim.host.rings["fuzzee"]
     sq_win, cq_win = sim.host.scribble_targets[:2]
 
-    # one honestly granted shared block for translate/deep_translate traffic
+    # one honestly granted shared block for translated submission traffic
     from .shm import NORMAL
     pages = sim.authority.alloc_pages(4, "proxy", NORMAL, "shm")
     rid = 900_001
@@ -471,7 +470,6 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
     enclave_base = sim.kernel.attach_shared(handle._space, rid, 4 * 4096)
     from .enclave import TranslationEntry
     handle.insert_translation(TranslationEntry(enclave_base, pm.base, 4 * 4096))
-    block_win = handle._space.access(enclave_base, 4 * 4096, "w")
 
     mon = sim.authority.monitor
     for space in sim.authority.spaces:
@@ -481,7 +479,6 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
     breaches: list[tuple] = []
     rng = random.Random(seed)
     receipts: list[int] = []
-    open_sids: list = []
     next_tag = 1
 
     def measured(name: str, fn) -> None:
@@ -503,48 +500,28 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
                 measured("consume_cqe", handle.consume_cqe)
         elif roll < 34:
             measured("cq_backlog", handle.cq_backlog)
-        elif roll < 44:
-            def _try():
-                sid = handle.try_get_sqe()
-                if sid is not None:
-                    open_sids.append(sid)
-            measured("try_get_sqe", _try)
         elif roll < 56:
-            if open_sids:
-                sid = open_sids.pop(rng.randrange(len(open_sids)))
-                args = SqeArgs(fd=3, addr=enclave_base + rng.randrange(4096),
-                               len=rng.randrange(1, 64), off=0)
-                next_tag += 1
+            args = SqeArgs(fd=3, addr=enclave_base + rng.randrange(4096),
+                           len=rng.randrange(1, 64), off=0)
+            next_tag += 1
 
-                def _sub(s=sid, a=args, t=next_tag):
-                    try:
-                        receipts.append(handle.prep_and_submit(
-                            s, ringmod.OP_READ, a, t))
-                    except (StaleSqeId, Untranslatable):
-                        pass
-                measured("prep_and_submit", _sub)
-        elif roll < 62:
+            def _sub(a=args, t=next_tag):
+                try:
+                    receipt = handle.prep_and_submit(ringmod.OP_READ, a, t)
+                except Untranslatable:
+                    return
+                if receipt is None:
+                    handle.retire_tag(t)  # private only: unpark, no backlog
+                else:
+                    receipts.append(receipt)
+            measured("prep_and_submit", _sub)
+        elif roll < 68:
             def _tr():
                 try:
                     handle.translate_addr(rng.randrange(1 << 22))
                 except Untranslatable:
                     pass
             measured("translate_addr", _tr)
-        elif roll < 68:
-            count = rng.randrange(0, 9)
-            base_off = rng.randrange(0, 2048) & ~0xF
-            for j in range(count):
-                addr = enclave_base + rng.randrange(4096) \
-                    if rng.random() < 0.8 else rng.randrange(1 << 22)
-                block_win.write(base_off + j * 16,
-                                struct.pack("<QQ", addr, rng.randrange(1, 32)))
-
-            def _deep(c=count, b=base_off):
-                try:
-                    handle.deep_translate(enclave_base + b, c)
-                except Untranslatable:
-                    pass
-            measured("deep_translate", _deep)
         elif roll < 78:
             # host side drains SQ and answers a known or junk id
             drained = host_sq.consume_batch(cfg.host_batch)

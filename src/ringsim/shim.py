@@ -14,7 +14,7 @@ probe that would block. A call that gives up abandons its promise and
 retires the records carrying that promise's tag, which drops a direct
 submission's straggler (getpid). A staged call's record carries the inner
 submission's tag, so it stays: a late completion still frees the arena, and
-a missing one holds record, promises and arena for good (ROADMAP item 5).
+a missing one holds record, promises and arena for good (ROADMAP item 1).
 
 The file facade stages writes privately and submits block-multiple chunks at
 tracked offsets with one write in flight per file; write errors surface on a

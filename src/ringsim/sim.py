@@ -55,8 +55,8 @@ class TrustedKernel:
 
     def ring_enter(self, caller: str) -> None:
         """Trusted syscall surface for "work is queued", rung by
-        RingHandle._publish_ready only: append to the wake queue and raise
-        the (masked) host interrupt."""
+        RingHandle.prep_and_submit and pump_parked after they publish: append
+        to the wake queue and raise the (masked) host interrupt."""
         ordinal = self._caller_ordinals.setdefault(caller,
                                                    len(self._caller_ordinals))
         self._wake_count = (self._wake_count + 1) & 0xFFFFFFFF
@@ -111,7 +111,7 @@ class EnclaveRuntime:
     def submit_async(self, opcode: int, args):
         """Queue one submission; promise of its completion result."""
         p = self.pool.create()
-        self.handle.submit_or_park(opcode, args, p.tag)
+        self.handle.prep_and_submit(opcode, args, p.tag)
         return p
 
     def pump(self, max_events: int | None = None) -> int:
@@ -142,7 +142,7 @@ class EnclaveRuntime:
         """Burn poll ticks until there may be news: `yield from` it.
 
         While another pump() could not change anything (no deferred
-        continuation, nothing parked or unpublished, no completion backlog),
+        continuation, nothing parked, no completion backlog),
         nothing can: no other task runs while this one holds the core. Then
         the scheduler burns ticks without resuming the body, up to the first
         tick end at or after `until` or the next deschedule. Otherwise this
@@ -150,8 +150,7 @@ class EnclaveRuntime:
         """
         tick = self.cfg.poll_tick
         h = self.handle
-        if self.pool.deferred_count or h.parked_count or \
-                h.unpublished_count or h.cq_backlog():
+        if self.pool.deferred_count or h.parked_count or h.cq_backlog():
             yield ("compute", tick)
             return 1
         return (yield ("wait", tick, until))

@@ -41,11 +41,11 @@ class CorrelationTable(RuleBasedStateMachine):
         self.parked: list[int] = []          # tags, in submission order
         self.consumed: list[int] = []        # user_data the host has seen
         self.cq: deque = deque()             # user_data on the CQ, in order
-        # every receipt, direct or pumped, is minted by one fill
-        fill = self.h._fill
+        # every receipt, direct or pumped, is minted by one push
+        push = self.h._push
 
-        def spy(sid, opcode, args, tag):
-            receipt = fill(sid, opcode, args, tag)
+        def spy(opcode, args, tag):
+            receipt = push(opcode, args, tag)
             assert receipt not in self.inflight and receipt not in self.delivered
             if tag in self.parked:
                 assert self.parked[0] == tag  # parked work leaves in order
@@ -53,7 +53,7 @@ class CorrelationTable(RuleBasedStateMachine):
             self.inflight[receipt] = tag
             return receipt
 
-        self.h._fill = spy
+        self.h._push = spy
 
     # --- enclave side ---
 
@@ -61,8 +61,8 @@ class CorrelationTable(RuleBasedStateMachine):
     def submit(self):
         tag = self.next_tag
         self.next_tag += 1
-        if self.h.submit_or_park(OP_READ, SqeArgs(translate=False),
-                                 tag) is None:
+        if self.h.prep_and_submit(OP_READ, SqeArgs(translate=False),
+                                  tag) is None:
             self.parked.append(tag)
 
     @rule()

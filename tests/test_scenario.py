@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ringsim import cli
+from ringsim.config import SimConfig, step_bounds
 from ringsim.scenario import (generate_game1, generate_game2, parse_scenario,
                               render_scenario, report_lines, run_bench,
                               run_fuzz, run_game1, run_game1_traced, run_game2,
@@ -125,6 +126,16 @@ def test_fuzz_short_run_clean():
     assert set(res["maxima"]) <= set(res["bounds"])
     for name, got in res["maxima"].items():
         assert got <= res["bounds"][name]
+
+
+def test_fuzz_drives_submit_to_its_constant_bound():
+    # a submission that publishes loads the head twice (room check, produce),
+    # writes the slot, stores the tail and writes the wake record: five
+    # accesses whatever the ring size, and the fuzzer reaches all five
+    res = run_fuzz(seed=271828, iterations=5_000)
+    assert res["bounds"]["prep_and_submit"] == 5
+    assert res["maxima"]["prep_and_submit"] == 5
+    assert step_bounds(SimConfig(sq_entries=1024))["prep_and_submit"] == 5
 
 
 def test_bench_pipelining_wins():
