@@ -73,11 +73,15 @@ class SimConfig:
 # static quantities below, never by a shared-memory value.
 def step_bounds(cfg: SimConfig) -> dict[str, int]:
     return {
-        # room check and produce load the head once each, then the slot
-        # write, the tail store and the doorbell's wake-record write
-        "prep_and_submit": 5,
+        # one SQ batch: a head load shared by the room check and the
+        # produce, the slot write and the tail store; then the doorbell's
+        # wake-record write
+        "prep_and_submit": 4,
         # worst case: budget+1 peeks (2 accesses each) + budget drops (2 each)
         "peek_cqe": 2 + 4 * cfg.drop_budget,
+        # one CQ batch: tail load, head store, and drop_budget + 1 slot reads
+        # per event; a scribbled tail can hold the clamp at cq_entries
+        "reap": 2 + cfg.max_events * (cfg.drop_budget + 1),
         "consume_cqe": 4,
         "cq_backlog": 2,
         "translate_addr": 1,                        # private table only

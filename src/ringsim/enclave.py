@@ -97,22 +97,24 @@ class RingHandle:
         the submission is parked for pump_parked() instead, and the result is
         None. An untranslatable buffer raises and changes nothing.
         """
-        if self._has_room():
-            internal = self._push(opcode, args, caller_tag)
-            if internal is not None:
-                self._kernel.ring_enter(self._space.owner)
-                return internal
-        self._parked.append((opcode, args, caller_tag))
-        return None
+        self._sq.begin_produce()
+        try:
+            internal = self._push(opcode, args, caller_tag) if self._has_room() else None
+        finally:
+            self._sq.end_produce()
+        if internal is None:
+            self._parked.append((opcode, args, caller_tag))
+        else:
+            self._kernel.ring_enter(self._space.owner)
+        return internal
 
     def _has_room(self) -> bool:
         return len(self._table) < self._table_cap and \
             self._sq.producer_occupancy() < self._sq.entries
 
-    def _push(self, opcode: int, args: SqeArgs, caller_tag: int) -> int | None:
-        """prep_and_submit after its room check, without the doorbell. None,
-        with nothing recorded, when the produce finds the ring full after
-        all (the shared head is the host's to move)."""
+    def _push(self, opcode: int, args: SqeArgs, caller_tag: int) -> int:
+        """prep_and_submit after its room check (in the same SQ batch, so
+        the produce cannot find the ring full), without the doorbell."""
         addr = args.addr
         if args.translate and addr:
             addr = self.translate_addr(addr)
@@ -121,9 +123,8 @@ class RingHandle:
                 if end - addr != args.len - 1:
                     raise Untranslatable("buffer straddles translation entries")
         internal = self._next_internal
-        if not self._sq.produce(Sqe(opcode, args.flags, args.fd, addr,
-                                    args.len, args.off, internal)):
-            return None
+        self._sq.produce(Sqe(opcode, args.flags, args.fd, addr, args.len,
+                             args.off, internal))
         self._next_internal += 1
         self._table[internal] = _UserRecord(caller_tag, opcode)
         return internal
@@ -157,6 +158,26 @@ class RingHandle:
                 return None
             self._cq.consume_one()
             drops += 1
+
+    def reap(self, budget: int, deliver) -> int:
+        """pump's drain: up to `budget` events in one CQ batch, handing each
+        completion to deliver(); -> events used. A round of junk (a full drop
+        budget) is an event too, so a flooded ring drains across calls."""
+        cq = self._cq
+        cq.begin_consume()
+        n = 0
+        try:
+            while n < budget:
+                comp = self.peek_cqe()
+                if comp is not None:
+                    self.consume_cqe()
+                    deliver(comp)
+                elif cq.consumer_occupancy() == 0:
+                    break
+                n += 1  # a drop-budget round of junk is still an event
+        finally:
+            cq.end_consume()
+        return n
 
     def consume_cqe(self) -> None:
         if self._front is None:
@@ -239,18 +260,19 @@ class RingHandle:
     # --- parked submissions (ring or correlation table temporarily full) ---
 
     def pump_parked(self) -> None:
-        """Push parked submissions in order while there is room, then ring
-        one doorbell if any went out. Each entry leaves the queue before its
-        push, so an untranslatable one raises once and blocks nothing."""
+        """Push parked submissions in order in one SQ batch while there is
+        room, then ring one doorbell if any went out. Each entry leaves the
+        queue before its push, so an untranslatable one raises once."""
+        if not self._parked:
+            return
+        self._sq.begin_produce()
         pushed = False
         try:
             while self._parked and self._has_room():
-                entry = self._parked.popleft()
-                if self._push(*entry) is None:
-                    self._parked.appendleft(entry)
-                    break
+                self._push(*self._parked.popleft())
                 pushed = True
         finally:
+            self._sq.end_produce()
             if pushed:
                 self._kernel.ring_enter(self._space.owner)
 

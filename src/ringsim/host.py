@@ -222,6 +222,7 @@ class HostOs:
         self.wake_window = None            # reader view of the wake region
         self._wake_seen = 0
         self.scribble_targets: list = []   # proxy-side windows of shared regions
+        self._open_cqs: dict = {}          # enclave -> CQ with a batch open
 
     # --- wiring ---
 
@@ -285,13 +286,23 @@ class HostOs:
             self._wake_seen = count
 
     def _deliver_due(self, now: int) -> int:
+        """Run the workers due by now; their CQEs go out in one batch per CQ."""
         n = 0
-        while self.workers and self.workers[0][0] <= now:
-            _, _, fn = heapq.heappop(self.workers)
-            if self.proxy_alive:
-                fn(now)
-                n += 1
+        try:
+            while self.workers and self.workers[0][0] <= now:
+                _, _, fn = heapq.heappop(self.workers)
+                if self.proxy_alive:
+                    fn(now)
+                    n += 1
+        finally:
+            if self._open_cqs:
+                self._end_cq_batches()
         return n
+
+    def _end_cq_batches(self) -> None:
+        for cq in self._open_cqs.values():
+            cq.end_produce()
+        self._open_cqs.clear()
 
     def _poll_rings(self, now: int) -> int:
         total = 0
@@ -335,9 +346,12 @@ class HostOs:
         self._wseq += 1
 
     def _produce_cqe(self, eid: str, cqe: Cqe) -> bool:
-        """Put cqe on eid's CQ; a full CQ drops it, recorded as cqe_dropped.
-        The caller records a produced completion."""
-        _sq, cq = self.rings[eid]
+        """Put cqe on eid's CQ, in its batch; a full CQ drops it, recorded as
+        cqe_dropped. The caller records a produced completion."""
+        cq = self._open_cqs.get(eid)
+        if cq is None:
+            cq = self._open_cqs[eid] = self.rings[eid][1]
+            cq.begin_produce()
         if cq.produce(cqe):
             return True
         self.events.cqe_dropped(eid, cqe.user_data)
@@ -354,6 +368,8 @@ class HostOs:
             return None
 
     def _write_proxy(self, addr: int, data: bytes) -> bool:
+        # a payload may land on a ring header: publish, and reload after
+        self._end_cq_batches()
         try:
             self.proxy_space.access(addr, len(data), "w").write(0, data)
             return True

@@ -16,16 +16,18 @@ derived as (tail - head) mod 2^32 and clamped to [0, entries].
 
 Each side owns exactly one index (producer: tail, consumer: head) and keeps a
 private copy of it, publishing after the slot bytes are in place (release)
-and reading the opposing index fresh per operation (acquire): one in-place
-`MemoryWindow.unpack` per index read, never cached across operations. Slot
-snapshots are in-place unpacks too. Under CPython the byte stores are atomic
-enough for the threaded smoke test; the deterministic interleaving checks
-are the normative model.
+and loading the opposing index (acquire) once per batch, as liburing's
+`io_uring_peek_batch_cqe` does; a call outside a batch is a batch of one.
+With one simulated core the other party cannot move or scribble its index
+while a batch is open, so the raw snapshot, clamped again at each step, is
+exactly what a re-read would give. All accesses are in-place `unpack`s and
+`pack`s. Under CPython the byte stores are atomic enough for the threaded
+smoke test; the deterministic interleaving checks are the normative model.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import PAGE_SIZE
 from .errors import BadSize, EmptyConsume
@@ -44,11 +46,10 @@ SQE_SIZE = _SQE.size
 CQE_SIZE = _CQE.size
 
 _HDR_U32 = struct.Struct("<I")
+_HEAD, _TAIL = 0, 4  # header offsets of the two shared indices
 
 
-@dataclass(frozen=True)
-class Sqe:
-    STRUCT = _SQE  # wire format, decoded as Sqe(*STRUCT.unpack(raw)); not a field
+class Sqe(NamedTuple):
     opcode: int
     flags: int
     fd: int
@@ -57,22 +58,30 @@ class Sqe:
     off: int
     user_data: int
 
+    STRUCT = _SQE  # wire format, decoded as Sqe._make(STRUCT.unpack(raw)); not a field
+
+    def wire(self) -> tuple:
+        """The field values cut to their wire widths, in STRUCT order."""
+        return (self.opcode & 0xFF, self.flags & 0xFF, self.fd,
+                self.addr & (2**64 - 1), self.len & MASK32,
+                self.off & (2**64 - 1), self.user_data & (2**64 - 1))
+
     def pack(self) -> bytes:
-        return _SQE.pack(self.opcode & 0xFF, self.flags & 0xFF, self.fd,
-                         self.addr & (2**64 - 1), self.len & MASK32,
-                         self.off & (2**64 - 1), self.user_data & (2**64 - 1))
+        return _SQE.pack(*self.wire())
 
 
-@dataclass(frozen=True)
-class Cqe:
-    STRUCT = _CQE
+class Cqe(NamedTuple):
     user_data: int
     result: int
     flags: int
 
+    STRUCT = _CQE
+
+    def wire(self) -> tuple:
+        return (self.user_data & (2**64 - 1), self.result, self.flags & MASK32)
+
     def pack(self) -> bytes:
-        return _CQE.pack(self.user_data & (2**64 - 1), self.result,
-                         self.flags & MASK32)
+        return _CQE.pack(*self.wire())
 
 
 def _check_geometry(window: MemoryWindow, entries: int, slot_size: int) -> None:
@@ -101,10 +110,12 @@ class Ring:
         self._win = window
         self._entries = entries
         self._mask = entries - 1
-        self._codec = codec
+        self._make = codec._make
+        self._held: int | None = None  # the other side's index, per batch
+        self._mark = 0  # the owned index when the batch opened
         if initialize:
-            window.pack(_HDR_U32, 0, 0)
-            window.pack(_HDR_U32, 4, 0)
+            window.pack(_HDR_U32, _HEAD, 0)
+            window.pack(_HDR_U32, _TAIL, 0)
             window.pack(_HDR_U32, 8, entries)
             self._head = 0
             self._tail = 0
@@ -112,80 +123,95 @@ class Ring:
             (shared,) = window.unpack(_HDR_U32, 8)
             if shared != entries:
                 raise BadSize(f"shared size field {shared} != expected {entries}")
-            (self._head,) = window.unpack(_HDR_U32, 0)
-            (self._tail,) = window.unpack(_HDR_U32, 4)
+            (self._head,) = window.unpack(_HDR_U32, _HEAD)
+            (self._tail,) = window.unpack(_HDR_U32, _TAIL)
 
     @property
     def entries(self) -> int:
         return self._entries
 
-    # --- shared index helpers ---
-
-    def _read_shared_head(self) -> int:
-        return self._win.unpack(_HDR_U32, 0)[0]
-
-    def _read_shared_tail(self) -> int:
-        return self._win.unpack(_HDR_U32, 4)[0]
-
-    def _publish_head(self) -> None:
-        self._win.pack(_HDR_U32, 0, self._head)
-
-    def _publish_tail(self) -> None:
-        self._win.pack(_HDR_U32, 4, self._tail)
-
-    @staticmethod
-    def _clamp(delta: int, entries: int) -> int:
-        occ = delta & MASK32
-        return entries if occ > entries else occ
-
     # --- producer side ---
 
+    def begin_produce(self) -> None:
+        """Open a batch: one head load; the tail is stored at end_produce."""
+        self._held = self._win.unpack(_HDR_U32, _HEAD)[0]
+        self._mark = self._tail
+
+    def end_produce(self) -> None:
+        self._held = None
+        if self._tail != self._mark:
+            self._win.pack(_HDR_U32, _TAIL, self._tail)
+
     def producer_occupancy(self) -> int:
-        return self._clamp(self._tail - self._read_shared_head(), self._entries)
+        head = self._held
+        if head is None:
+            head = self._win.unpack(_HDR_U32, _HEAD)[0]
+        occ = (self._tail - head) & MASK32
+        return occ if occ < self._entries else self._entries
 
     def produce(self, entry) -> bool:
-        """Serialize one entry and publish it. False when full."""
+        """Pack one entry into its slot in place and publish it; False if full."""
         if self.producer_occupancy() == self._entries:
             return False
         off = RING_HEADER + (self._tail & self._mask) * self._slot
-        self._win.write(off, entry.pack())
+        self._win.pack(self._record, off, *entry.wire())
         self._tail = (self._tail + 1) & MASK32
-        self._publish_tail()
+        if self._held is None:
+            self._win.pack(_HDR_U32, _TAIL, self._tail)
         return True
 
     # --- consumer side ---
 
+    def begin_consume(self) -> None:
+        """Open a batch: one tail load; the head is stored at end_consume."""
+        self._held = self._win.unpack(_HDR_U32, _TAIL)[0]
+        self._mark = self._head
+
+    def end_consume(self) -> None:
+        self._held = None
+        if self._head != self._mark:
+            self._win.pack(_HDR_U32, _HEAD, self._head)
+
     def consumer_occupancy(self) -> int:
-        return self._clamp(self._read_shared_tail() - self._head, self._entries)
+        tail = self._held
+        if tail is None:
+            tail = self._win.unpack(_HDR_U32, _TAIL)[0]
+        occ = (tail - self._head) & MASK32
+        return occ if occ < self._entries else self._entries
 
     def peek(self):
         """Snapshot the head entry without advancing. One slot read, ever."""
         if self.consumer_occupancy() == 0:
             return None
         off = RING_HEADER + (self._head & self._mask) * self._slot
-        return self._codec(*self._win.unpack(self._record, off))
+        return self._make(self._win.unpack(self._record, off))
 
     def consume_one(self) -> None:
         if self.consumer_occupancy() == 0:
             raise EmptyConsume("consume on empty ring")
         self._head = (self._head + 1) & MASK32
-        self._publish_head()
+        if self._held is None:
+            self._win.pack(_HDR_U32, _HEAD, self._head)
 
     def consume_batch(self, max_entries: int) -> list:
-        """Snapshot and consume up to max_entries in order.
+        """Snapshot and consume up to max_entries in order: one batch.
 
         The loop bound is min(clamped occupancy, max_entries): both are
         private quantities once clamped, so a scribbled tail can only make
-        the batch smaller or exactly `entries` long, never larger.
+        the batch smaller or exactly `entries` long, never larger. An empty
+        ring costs the one tail load.
         """
-        n = min(self.consumer_occupancy(), max_entries)
+        tail = self._win.unpack(_HDR_U32, _TAIL)[0]
+        if tail == self._head:
+            return []
+        n = min((tail - self._head) & MASK32, self._entries, max_entries)
         out = []
         for _ in range(n):
             off = RING_HEADER + (self._head & self._mask) * self._slot
-            out.append(self._codec(*self._win.unpack(self._record, off)))
+            out.append(self._make(self._win.unpack(self._record, off)))
             self._head = (self._head + 1) & MASK32
         if n:
-            self._publish_head()
+            self._win.pack(_HDR_U32, _HEAD, self._head)
         return out
 
 

@@ -439,6 +439,9 @@ def run_bench(mode: str, seed: int = 7) -> dict:
 
 # --- hardened-interface fuzzer ---
 
+FUZZ_EPOCH = 5_000  # run_fuzz iterations per fresh Simulation
+
+
 def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
     """Random hostile interleavings against one ring handle.
 
@@ -446,40 +449,24 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
     shared-memory accesses must stay within the declared static bound no
     matter what was scribbled into the rings. The monitor also audits every
     access against the owner's legitimate windows and the world bit.
+
+    Every FUZZ_EPOCH iterations start on a fresh Simulation: once a
+    scribbled SQ tail lets the host's head pass the enclave's tail, each
+    host drain consumes phantom entries and the SQ looks full for good.
+    `submitted` counts prep_and_submit calls, `published` those that went out.
     """
     cfg = cfg or SimConfig(sq_entries=16, cq_entries=16)
-    sim = Simulation(cfg=cfg, seed=seed)
+    bounds = step_bounds(cfg)
+    maxima: dict[str, int] = {}
+    breaches: list[tuple] = []
+    violations = submitted = published = 0
+    rng = random.Random(seed)
 
     def idle_factory(rt):
         def body():
             while True:
                 yield ("yield",)
         return body()
-
-    rt = sim.spawn_enclave("fuzzee", 100_000, 50_000, idle_factory)
-    handle = rt.handle
-    host_sq, host_cq = sim.host.rings["fuzzee"]
-    sq_win, cq_win = sim.host.scribble_targets[:2]
-
-    # one honestly granted shared block for translated submission traffic
-    from .shm import NORMAL
-    pages = sim.authority.alloc_pages(4, "proxy", NORMAL, "shm")
-    rid = 900_001
-    sim.authority.register_shared(pages, rid, 4 * 4096)
-    pm = sim.authority.map_region(sim.host.proxy_space, rid)
-    enclave_base = sim.kernel.attach_shared(handle._space, rid, 4 * 4096)
-    from .enclave import TranslationEntry
-    handle.insert_translation(TranslationEntry(enclave_base, pm.base, 4 * 4096))
-
-    mon = sim.authority.monitor
-    for space in sim.authority.spaces:
-        mon.allowed[space.owner] = [(m.base, m.size) for m in space.mappings()]
-    bounds = step_bounds(cfg)
-    maxima: dict[str, int] = {}
-    breaches: list[tuple] = []
-    rng = random.Random(seed)
-    receipts: list[int] = []
-    next_tag = 1
 
     def measured(name: str, fn) -> None:
         mark = mon.mark()
@@ -490,69 +477,98 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
         if used > bounds[name]:
             breaches.append((name, used, bounds[name]))
 
-    mon.arm()
-    for i in range(iterations):
-        roll = rng.randrange(100)
-        if roll < 18:
-            measured("peek_cqe", handle.peek_cqe)
-        elif roll < 26:
-            if handle._front is not None:
-                measured("consume_cqe", handle.consume_cqe)
-        elif roll < 34:
-            measured("cq_backlog", handle.cq_backlog)
-        elif roll < 56:
-            args = SqeArgs(fd=3, addr=enclave_base + rng.randrange(4096),
-                           len=rng.randrange(1, 64), off=0)
-            next_tag += 1
+    for epoch in range(0, iterations, FUZZ_EPOCH):
+        sim = Simulation(cfg=cfg, seed=seed)
+        rt = sim.spawn_enclave("fuzzee", 100_000, 50_000, idle_factory)
+        handle = rt.handle
+        host_sq, host_cq = sim.host.rings["fuzzee"]
+        sq_win, cq_win = sim.host.scribble_targets[:2]
 
-            def _sub(a=args, t=next_tag):
-                try:
-                    receipt = handle.prep_and_submit(ringmod.OP_READ, a, t)
-                except Untranslatable:
-                    return
-                if receipt is None:
-                    handle.retire_tag(t)  # private only: unpark, no backlog
+        # one honestly granted shared block for translated submission traffic
+        from .shm import NORMAL
+        pages = sim.authority.alloc_pages(4, "proxy", NORMAL, "shm")
+        rid = 900_001
+        sim.authority.register_shared(pages, rid, 4 * 4096)
+        pm = sim.authority.map_region(sim.host.proxy_space, rid)
+        enclave_base = sim.kernel.attach_shared(handle._space, rid, 4 * 4096)
+        from .enclave import TranslationEntry
+        handle.insert_translation(TranslationEntry(enclave_base, pm.base, 4 * 4096))
+
+        mon = sim.authority.monitor
+        for space in sim.authority.spaces:
+            mon.allowed[space.owner] = [(m.base, m.size) for m in space.mappings()]
+        receipts: list[int] = []
+        next_tag = 1
+
+        mon.arm()
+        for i in range(min(FUZZ_EPOCH, iterations - epoch)):
+            roll = rng.randrange(100)
+            if roll < 18:
+                measured("peek_cqe", handle.peek_cqe)
+            elif roll < 26:
+                if handle._front is not None:
+                    measured("consume_cqe", handle.consume_cqe)
+            elif roll < 34:
+                measured("cq_backlog", handle.cq_backlog)
+            elif roll < 56:
+                args = SqeArgs(fd=3, addr=enclave_base + rng.randrange(4096),
+                               len=rng.randrange(1, 64), off=0)
+                next_tag += 1
+
+                def _sub(a=args, t=next_tag):
+                    nonlocal submitted, published
+                    submitted += 1
+                    try:
+                        receipt = handle.prep_and_submit(ringmod.OP_READ, a, t)
+                    except Untranslatable:
+                        return
+                    if receipt is None:
+                        handle.retire_tag(t)  # private only: unpark, no backlog
+                    else:
+                        published += 1
+                        receipts.append(receipt)
+                measured("prep_and_submit", _sub)
+            elif roll < 64:
+                def _tr():
+                    try:
+                        handle.translate_addr(rng.randrange(1 << 22))
+                    except Untranslatable:
+                        pass
+                measured("translate_addr", _tr)
+            elif roll < 68:  # the tags are no promises: deliver to nowhere
+                measured("reap", lambda: handle.reap(cfg.max_events, lambda c: None))
+            elif roll < 78:
+                # host side drains SQ and answers a known or junk id
+                host_sq.consume_batch(cfg.host_batch)
+                if receipts and rng.random() < 0.7:
+                    ud = receipts[rng.randrange(len(receipts))]
                 else:
-                    receipts.append(receipt)
-            measured("prep_and_submit", _sub)
-        elif roll < 68:
-            def _tr():
-                try:
-                    handle.translate_addr(rng.randrange(1 << 22))
-                except Untranslatable:
-                    pass
-            measured("translate_addr", _tr)
-        elif roll < 78:
-            # host side drains SQ and answers a known or junk id
-            drained = host_sq.consume_batch(cfg.host_batch)
-            for _ in drained:
-                pass
-            if receipts and rng.random() < 0.7:
-                ud = receipts[rng.randrange(len(receipts))]
+                    ud = (1 << 63) | rng.getrandbits(62)
+                host_cq.produce(Cqe(ud, rng.randrange(-30, 70), 0))
+            elif roll < 92:
+                win = sq_win if rng.random() < 0.5 else cq_win
+                off = rng.randrange(win.length)
+                n = min(rng.randrange(1, 9), win.length - off)
+                win.write(off, bytes(rng.getrandbits(8) for _ in range(n)))
             else:
-                ud = (1 << 63) | rng.getrandbits(62)
-            host_cq.produce(Cqe(ud, rng.randrange(-30, 70), 0))
-        elif roll < 92:
-            win = sq_win if rng.random() < 0.5 else cq_win
-            off = rng.randrange(win.length)
-            n = min(rng.randrange(1, 9), win.length - off)
-            win.write(off, bytes(rng.getrandbits(8) for _ in range(n)))
-        else:
-            if receipts:
-                handle.retire(receipts.pop(rng.randrange(len(receipts))))
-            try:
-                handle.consume_cqe() if handle._front else None
-            except EmptyConsume:
-                pass
-    mon.disarm()
+                if receipts:
+                    handle.retire(receipts.pop(rng.randrange(len(receipts))))
+                try:
+                    handle.consume_cqe() if handle._front else None
+                except EmptyConsume:
+                    pass
+        mon.disarm()
+        violations += len(mon.violations)
     return {
         "iterations": iterations,
         "seed": seed,
         "bound_breaches": breaches,
-        "monitor_violations": len(mon.violations),
+        "monitor_violations": violations,
         "maxima": {k: maxima[k] for k in sorted(maxima)},
         "bounds": {k: bounds[k] for k in sorted(bounds)},
-        "ok": not breaches and not mon.violations,
+        "submitted": submitted,
+        "published": published,
+        "ok": not breaches and not violations,
     }
 
 

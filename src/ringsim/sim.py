@@ -115,26 +115,10 @@ class EnclaveRuntime:
         return p
 
     def pump(self, max_events: int | None = None) -> int:
-        """Drain up to max_events delivered completions plus deferred work.
-
-        A peek that comes back empty only ends the loop when the ring itself
-        reports empty; a junk-flooded ring burns event slots (each covering a
-        full drop budget) instead, so one pump call stays bounded while a
-        backlog of garbage still drains across calls.
-        """
+        """Drain up to max_events events (RingHandle.reap), run deferred work."""
         self.handle.pump_parked()
         budget = self.cfg.max_events if max_events is None else max_events
-        n = 0
-        while n < budget:
-            comp = self.handle.peek_cqe()
-            if comp is None:
-                if self.handle.cq_backlog() == 0:
-                    break
-                n += 1  # a drop-budget round of junk is still an event
-                continue
-            self.handle.consume_cqe()
-            n += 1
-            self.pool.settle_from_cqe(comp)
+        n = self.handle.reap(budget, self.pool.settle_from_cqe)
         self.pool.run_deferred()
         return n
 

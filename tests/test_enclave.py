@@ -152,20 +152,31 @@ def test_untranslatable_parked_entry_raises_once():
     assert sorted(rec.tag for rec in h._table.values()) == [9, 10]
     assert len(host_sq.consume_batch(8)) == 2
 
-def test_refused_produce_parks_and_records_nothing():
-    # the room check and the produce each load the shared head; a head that
-    # moves back between them parks the submission, with no id spent
-    _, h, host_sq, _ = _world()
-    h._sq.produce = lambda sqe: False
-    assert h.prep_and_submit(2, SqeArgs(), 1) is None
-    assert h.prep_and_submit(2, SqeArgs(), 2) is None
+def test_room_check_and_produce_share_one_head_load():
+    # one SQ batch per call: the room check and the produce see one head
+    # load, so a submission that passes the check always goes out, and a
+    # full ring parks it with that one load spent and nothing recorded;
+    # pump_parked loads the head and stores the tail once for all it pushes
+    auth, h, host_sq, _ = _world()
+    mon = auth.monitor
+    mon.arm()
+    used = []
+    for tag in range(10):
+        mark = mon.mark()
+        h.prep_and_submit(2, SqeArgs(), tag)
+        used.append(mon.delta(mark))
+    # head load, slot write, tail store (the stub kernel writes no wake
+    # record); the last two find the ring full
+    assert used == [3] * 8 + [1, 1]
+    assert (h.parked_count, len(h._table)) == (2, 8)
+    host_sq.consume_batch(8)
+    mark = mon.mark()
     h.pump_parked()
-    assert (h.parked_count, len(h._table), h._kernel.enters) == (2, 0, [])
-    del h._sq.produce
-    h.pump_parked()
-    assert [s.user_data for s in host_sq.consume_batch(8)] == [1, 2]
-    assert [h._table[r].tag for r in (1, 2)] == [1, 2]
-    assert h._kernel.enters == ["encl"]
+    assert mon.delta(mark) == 1 + 2 + 1
+    mon.disarm()
+    assert [s.user_data for s in host_sq.consume_batch(8)] == [9, 10]
+    assert [h._table[r].tag for r in (9, 10)] == [8, 9]
+    assert h._kernel.enters == ["encl"] * 9
 
 
 # --- completion hardening ---

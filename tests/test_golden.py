@@ -119,13 +119,16 @@ def _fleet_body(rt, out, read_len, rec_len, compute, flush_every, timeout):
         yield ("yield",)
 
 
-def _fleet_sim(host: str):
-    """-> (Simulation, outs) after the fixed-time run against `host`."""
+def _fleet_sim(host: str, monitored: bool = False):
+    """-> (Simulation, outs) after the fixed-time run against `host`; with
+    `monitored`, the access monitor is armed from set-up on."""
     # 512-byte log blocks and a small staging cap make the big tlm records
     # wait for the drain
     cfg = SimConfig(write_staging_cap=2048)
     sim = Simulation(cfg=cfg, seed=5, manifest="/logs/\n/sensors/\n",
                      policy=FLEET_HOSTS[host])
+    if monitored:
+        sim.authority.monitor.arm()
     sim.vfs.files[SENSOR] = VFile(bytearray(range(256)) * 16, 512, False)
     for name, *_ in FLEET:
         sim.vfs.files[f"/logs/{name}.log"] = VFile(bytearray(), 512, False)
@@ -145,6 +148,17 @@ def _fleet_sim(host: str):
 def _fleet_case(host: str) -> str:
     sim, outs = _fleet_sim(host)
     return _digest(outs, [sim])
+
+
+def test_fleet_honest_shared_access_count():
+    # every monitored shared-memory access of the honest fleet run, set-up
+    # included (801 loop iterations). The count is deterministic, so a change
+    # that adds index loads or slot copies shows here exactly. It was 30,897
+    # while each ring operation loaded the other side's index afresh.
+    sim, outs = _fleet_sim("honest", monitored=True)
+    assert sum(isinstance(r[0], int) for out in outs.values()
+               for r in out) == 801
+    assert sim.authority.monitor.access_count == 24_904
 
 
 def cases() -> dict:

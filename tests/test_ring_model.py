@@ -11,6 +11,12 @@ Two layers:
 2. An op-level DFS drives the real Ring objects through every interleaving
    of whole produce/consume calls with snapshot/restore, tying the model's
    conclusions to the shipped code.
+
+3. The same DFS over the batch operations, one step at a time: a batch
+   opens (one load of the other side's index), moves one entry per step
+   and closes (one store of its own index), and the other party may run
+   between any two steps. One simulated core never does that, which is
+   what makes the snapshot exact; the check shows it is safe even then.
 """
 import struct
 
@@ -120,7 +126,7 @@ def test_model_exhaustive_wraparound_start():
 # --- op-level DFS over the real implementation ---
 
 class _RealPair:
-    def __init__(self, entries: int):
+    def __init__(self, entries: int, start_index: int = 0):
         self.entries = entries
         self.auth = MemoryAuthority()
         e = self.auth.create_space("encl", "trusted", 0x100000)
@@ -128,18 +134,24 @@ class _RealPair:
         nbytes = ring_region_bytes(entries, 16)
         self.we, self.wp, self.pages = dual_windows(self.auth, e, p, nbytes)
         self.prod = cq_ring_init(self.we, entries)
+        self.we.write(0, struct.pack("<II", start_index, start_index))
+        self.prod._head = self.prod._tail = start_index
         self.cons = cq_ring_attach(self.wp, entries)
 
     def snapshot(self):
         phys = tuple(bytes(self.auth.phys[pid]) for pid in self.pages)
-        return (phys, self.prod._tail, self.cons._head)
+        return (phys,) + tuple((r._head, r._tail, r._held, r._mark)
+                               for r in (self.prod, self.cons))
 
     def restore(self, snap):
-        phys, tail, head = snap
+        phys, *views = snap
         for pid, blob in zip(self.pages, phys):
             self.auth.phys[pid][:] = blob
-        self.prod._tail = tail
-        self.cons._head = head
+        for r, (head, tail, held, mark) in zip((self.prod, self.cons), views):
+            r._head, r._tail, r._held, r._mark = head, tail, held, mark
+
+    def shared(self):
+        return struct.unpack("<II", self.wp.read(0, 8))  # (head, tail)
 
 
 def test_op_level_dfs_real_rings():
@@ -182,3 +194,82 @@ def test_header_scribble_cannot_grow_batch():
     pair.wp.write(8, struct.pack("<I", 1 << 31))  # claim entries = 2^31
     out = pair.cons.consume_batch(1 << 20)
     assert [c.user_data for c in out] == [0, 1, 2, 3]
+
+
+def _explore_batches(entries: int, items: int, start_index: int) -> int:
+    """Every interleaving of single steps of batch produce and batch consume
+    on the real rings; -> the number of distinct states visited.
+
+    Producer steps: open a batch, produce the next item (refused when its
+    view is full), close. Consumer steps: open a batch, peek and consume
+    one entry, close, or a whole consume_batch(n) while no batch is open.
+    """
+    pair = _RealPair(entries, start_index)
+    prod, cons = pair.prod, pair.cons
+    seen = set()
+    complete = [0]
+
+    def check_views():
+        head, tail = pair.shared()
+        published = (tail - cons._head) & MASK32
+        in_flight = (prod._tail - head) & MASK32
+        assert published <= entries and in_flight <= entries
+        # a held snapshot is only ever stale in the safe direction
+        assert cons.consumer_occupancy() <= published
+        assert in_flight <= prod.producer_occupancy() <= entries
+
+    def walk(produced: int, consumed: int):
+        key = (pair.snapshot(), produced, consumed)
+        if key in seen:
+            return
+        seen.add(key)
+        check_views()
+        p_open, c_open = prod._held is not None, cons._held is not None
+        if produced == items and consumed == items \
+                and not p_open and not c_open:
+            assert pair.shared() == ((start_index + items) & MASK32,) * 2
+            complete[0] += 1
+            return
+        snap = pair.snapshot()
+
+        def step(fn, *args):
+            fn()
+            walk(*args)
+            pair.restore(snap)
+
+        if not p_open:
+            if produced < items:
+                step(prod.begin_produce, produced, consumed)
+        else:
+            step(prod.end_produce, produced, consumed)
+            if produced < items:
+                if prod.produce(Cqe(produced, 0, 0)):
+                    walk(produced + 1, consumed)
+                pair.restore(snap)
+        if not c_open:
+            step(cons.begin_consume, produced, consumed)
+            for n in range(1, entries + 1):
+                got = [c.user_data for c in cons.consume_batch(n)]
+                # exactly once, in order
+                assert got == list(range(consumed, consumed + len(got)))
+                if got:
+                    walk(produced, consumed + len(got))
+                pair.restore(snap)
+        else:
+            step(cons.end_consume, produced, consumed)
+            c = cons.peek()
+            if c is not None:
+                assert c.user_data == consumed
+                cons.consume_one()
+                walk(produced, consumed + 1)
+                pair.restore(snap)
+
+    walk(0, 0)
+    assert complete[0] > 0
+    return len(seen)
+
+
+def test_batch_ops_every_interleaving():
+    for entries in (2, 4):
+        for start in (0, 0xFFFFFFFE, 0xFFFFFFFF - entries):
+            assert _explore_batches(entries, entries + 2, start) > 20

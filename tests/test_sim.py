@@ -1,11 +1,12 @@
 """Whole-platform wiring: launch flow, grant attach, liveness under silence."""
 from ringsim import ring as ringmod
 from ringsim.config import SimConfig
-from ringsim.enclave import SqeArgs
+from ringsim.enclave import RingHandle, SqeArgs
 from ringsim.errors import RegistrationRejected, Untranslatable
 from ringsim.host import AdversaryPolicy
-from ringsim.promise import (FAILED, FULFILLED, PENDING, async_open,
-                             async_read, poll)
+from ringsim.promise import (FAILED, FULFILLED, PENDING, PromisePool,
+                             async_open, async_read, poll)
+from ringsim.ring import Ring
 from ringsim.shim import sync_call
 
 from helpers import app_sim, spawn_app
@@ -228,3 +229,43 @@ def test_pump_rings_one_doorbell_for_every_parked_submission_it_publishes():
     # two ring slots free up between pumps: each publishing pump fills both
     # and rings once
     assert per_pump == [1, 1, 1, 1, 1]
+
+
+# --- pump: the batch drain runs the per-entry steps ---
+
+def test_pump_delivers_every_completion_through_peek_cqe_and_ring_peek(
+        monkeypatch):
+    # RingHandle.reap holds one CQ tail snapshot but still takes every entry
+    # through peek_cqe and Ring.peek, the steps the drop budget and the
+    # per-layer spans sit on; a drain loop of its own would bypass both
+    peeked, handed, settled = [], [], []
+
+    def spy(cls, name, log):
+        real = getattr(cls, name)
+
+        def wrapper(self, *args):
+            got = real(self, *args)
+            log.append(got if name != "settle_from_cqe" else args[0])
+            return got
+        monkeypatch.setattr(cls, name, wrapper)
+
+    spy(Ring, "peek", peeked)
+    spy(RingHandle, "peek_cqe", handed)
+    spy(PromisePool, "settle_from_cqe", settled)
+    # three junk completions ride along with every real one
+    sim = app_sim(policy=AdversaryPolicy(per_op={"getpid": ("flood", 3)}))
+
+    def body(rt, out):
+        ps = [rt.submit_async(ringmod.OP_GETPID, SqeArgs()) for _ in range(12)]
+        yield from _settle(rt, out, ps)
+
+    rt, out = spawn_app(sim, body)
+    sim.run_until(5_000_000)
+    assert out["states"] == [FULFILLED] * 12
+    handed = [c for c in handed if c is not None]
+    assert len(settled) == len(handed) == 12
+    assert all(s is h for s, h in zip(settled, handed))
+    entries = [e.user_data for e in peeked if e is not None]
+    assert [c.internal_id for c in settled] == \
+        [ud for ud in entries if ud < 1 << 63]
+    assert len(entries) > 12  # the junk went through Ring.peek too
