@@ -7,9 +7,11 @@ accounting, plus the values the run returned. One event moved by one
 nanosecond changes a digest, so a change that claims to keep behaviour (a
 cheaper wait, a faster scheduler) must leave every digest as it is.
 
-Cases: the 16 scenario files, the four bench modes, and fixed-time runs of
+Cases: the 16 scenario files, the four bench modes, fixed-time runs of
 three periodic PosixShim enclaves (sensor read, compute, buffered log write)
-against an honest, a slow-writing, a refusing and a never-waking host.
+against an honest, a slow-writing, a refusing and a never-waking host, and a
+bulk stream of multi-page reads against an honest, a scribbling and a
+corrupting host.
 
 Regenerate only when behaviour is meant to change:
 
@@ -19,16 +21,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from ringsim import scenario
+from ringsim.promise import async_read
 from ringsim.config import INIT_SHM_ENV, SimConfig
 from ringsim.host import AdversaryPolicy, VFile
-from ringsim.shim import PosixShim
+from ringsim.shim import PosixShim, sync_call
 from ringsim.sim import Simulation
 
 HERE = Path(__file__).resolve().parent
@@ -161,11 +166,65 @@ def test_fleet_honest_shared_access_count():
     assert sim.authority.monitor.access_count == 24_904
 
 
+# --- a bulk stream: every read payload spans many shared pages ---
+
+BULK_PATH = "/data/bulk.bin"
+BULK_CHUNK = 64 * 1024
+BULK_DEPTH = 16
+BULK_FILE = 1 << 20
+BULK_RUN_NS = 3_000_000
+BULK_HOSTS = {
+    "honest": AdversaryPolicy(),
+    "scribble": AdversaryPolicy(scribble_rate=0.2),
+    "corrupt": AdversaryPolicy(per_op={"read": ("corrupt",)}),
+}
+
+
+def _bulk_body(rt, out, got):
+    fd = yield from PosixShim(rt).open(BULK_PATH)
+    out.append(("open", rt.now(), fd))
+    chunks = BULK_FILE // BULK_CHUNK
+    pending = deque()
+    issued = 0
+    for i in range(2 * chunks):  # the whole file, twice
+        while fd >= 0 and issued < 2 * chunks and len(pending) < BULK_DEPTH:
+            pending.append(async_read(rt, fd, BULK_CHUNK,
+                                      (issued % chunks) * BULK_CHUNK))
+            issued += 1
+        if not pending:
+            break
+        r = yield from sync_call(rt, pending.popleft())
+        if not isinstance(r, int):
+            got.append(r)
+            r = len(r)
+        out.append((i, rt.now(), r))
+    while True:
+        yield ("yield",)
+
+
+def _bulk_case(host: str) -> str:
+    # a payload's delivery time grows with its size, so host slices (and
+    # scribbles) fall between deliveries
+    sim = Simulation(cfg=SimConfig(service_per_byte=1), seed=3,
+                     manifest="/data/\n", policy=BULK_HOSTS[host])
+    data = random.Random(BULK_FILE).randbytes(BULK_FILE)
+    sim.vfs.files[BULK_PATH] = VFile(bytearray(data), 4096, False)
+    sim.add_host_task(period=100_000, budget=50_000)
+    out, got = [], []
+    sim.spawn_enclave("reader", 100_000, 50_000,
+                      lambda rt: _bulk_body(rt, out, got),
+                      env={INIT_SHM_ENV: str(BULK_FILE)}, priority=5)
+    sim.run_until(BULK_RUN_NS)
+    delivered = hashlib.sha256(b"".join(got)).hexdigest()
+    return _digest((out, delivered), [sim])
+
+
 def cases() -> dict:
     out = {f"scenario:{p.stem}": (_scenario_case, p)
            for p in sorted(SCENARIOS.glob("*.cfg"))}
     out.update({f"bench:{m}": (_bench_case, m) for m in BENCH_MODES})
     out.update({f"fleet:{h}": (_fleet_case, h) for h in FLEET_HOSTS})
+    out.update({f"bulk:{h}": (_bulk_case, h) for h in BULK_HOSTS})
     return out
 
 
