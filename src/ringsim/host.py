@@ -125,14 +125,16 @@ class VirtualFs:
             f.data = bytearray()
         return 0
 
-    def read(self, path: str, off: int, n: int) -> bytes:
+    def read(self, path: str, off: int, n: int) -> bytes | memoryview:
+        """Up to n bytes from off; a regular file gives a read-only view of
+        its bytes, to be released before the file is next written."""
         f = self.files[path]
         if f.pseudo:
             # pseudo devices hand back a rolling deterministic pattern
             block = hashlib.sha256(f"{path}:{off}".encode()).digest()
             reps = (n + len(block) - 1) // len(block)
             return (block * reps)[:n]
-        return bytes(f.data[off:off + n])
+        return memoryview(f.data)[off:off + n].toreadonly()
 
     def write(self, path: str, off: int, data: bytes) -> int:
         f = self.files[path]
@@ -403,11 +405,12 @@ class HostOs:
 
         def deliver(now: int) -> None:
             result, payload_addr, payload = self._execute(sqe)
+            view = payload
             tampered = False
             if corrupt:
                 tampered = True
                 if payload is not None:
-                    payload = payload.translate(_XOR_A5)
+                    payload = bytes(payload).translate(_XOR_A5)
                 else:
                     result = -EIO if result >= 0 else result
             if payload_addr is not None and payload is not None:
@@ -421,6 +424,8 @@ class HostOs:
                 self.events.read_payload(now, eid, sqe.user_data,
                                          self.fds.get(sqe.fd), not tampered,
                                          sqe.off, len(payload), result)
+            if isinstance(view, memoryview):
+                view.release()  # a file with a view exported cannot grow
 
         return deliver
 
@@ -442,13 +447,13 @@ class HostOs:
             return (self._alloc_fd(text), None, None)
         if op == ringmod.OP_READ:
             path = self.fds.get(sqe.fd)
-            if path is None:
+            if path not in self.vfs.files:  # not open, or since unlinked
                 return (-EBADF, None, None)
             data = self.vfs.read(path, sqe.off, sqe.len)
             return (len(data), sqe.addr, data)
         if op == ringmod.OP_WRITE:
             path = self.fds.get(sqe.fd)
-            if path is None:
+            if path not in self.vfs.files:  # not open, or since unlinked
                 return (-EBADF, None, None)
             data = self._read_proxy(sqe.addr, sqe.len)
             if data is None:
@@ -461,7 +466,7 @@ class HostOs:
             return (0, None, None)
         if op == ringmod.OP_STATX:
             path = self.fds.get(sqe.fd)
-            if path is None:
+            if path not in self.vfs.files:  # not open, or since unlinked
                 return (-EBADF, None, None)
             size, block, pseudo = self.vfs.stat(path)
             return (0, sqe.addr, ringmod.STATX_FMT.pack(size, block, pseudo))

@@ -1,11 +1,12 @@
 """Simulated physical memory, address spaces, and the trusted grant authority.
 
-Physical memory is a pool of fixed-size pages indexed by integer page id.
-Address spaces are pure translation layers from 64-bit virtual addresses onto
-pages. The authority owns the page allocation table, enforces per-party page
-quotas, validates every host-offered shared grant before it can be mapped,
-and models the bus-level world filter: a normal-world access can never reach
-a trusted-world page.
+Physical memory is fixed-size pages indexed by integer page id. Each
+allocation is one extent, a buffer holding its pages end to end, and a
+page's bytes are a view into its extent. Address spaces are pure translation
+layers from 64-bit virtual addresses onto pages. The authority owns the page
+allocation table, enforces per-party page quotas, validates every
+host-offered shared grant before it can be mapped, and models the bus-level
+world filter: a normal-world access can never reach a trusted-world page.
 
 Nothing an untrusted party writes into page contents can change any structure
 in this module; all metadata lives in private Python objects on the trusted
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import PAGE_SIZE
 from .errors import (
@@ -57,6 +58,17 @@ class SharedRegistration:
     state: str = PENDING
 
 
+class Extent:
+    """The bytes of one allocation's pages, end to end. Broken once any of
+    its pages is freed: its offsets then no longer name live pages."""
+
+    __slots__ = ("buf", "broken")
+
+    def __init__(self, npages: int):
+        self.buf = memoryview(bytearray(npages * PAGE_SIZE))
+        self.broken = False
+
+
 @dataclass
 class Mapping:
     base: int
@@ -65,6 +77,9 @@ class Mapping:
     perms: str
     pages_world: str
     region_id: int | None = None
+    # the extent holding page_ids as one run from byte extent_off, if any
+    extent: Extent | None = field(default=None, repr=False, compare=False)
+    extent_off: int = 0
 
 
 class AccessMonitor:
@@ -144,17 +159,21 @@ class MemoryWindow:
 
     Every access goes through read/write (byte strings) or unpack/pack
     (fixed-size `struct.Struct` records), so the monitor sees each one. An
-    access that lies inside one page is served in place from that page;
-    only one that crosses a page edge is assembled page by page. Slices
-    never escape: read() returns copies (snapshots). Pages are looked up on
-    every access, so an access to a freed page fails.
+    access that lies inside one page is served in place from that page.
+    One that crosses a page edge is one slice copy when the mapping's pages
+    are one run of an unbroken extent (the flat path); otherwise it is
+    assembled page by page. Slices never escape: read() returns copies
+    (snapshots). Pages are looked up on every per-page access, and a freed
+    page breaks its extent, so an access to a freed page fails.
     """
 
-    __slots__ = ("_phys", "_space", "base", "length", "_page_ids", "_skew", "_monitor")
+    __slots__ = ("_phys", "_space", "base", "length", "_page_ids", "_skew",
+                 "_monitor", "_extent", "_extent_off")
 
-    def __init__(self, phys: dict[int, bytearray], space: "AddressSpace",
+    def __init__(self, phys: dict[int, memoryview], space: "AddressSpace",
                  base: int, length: int, page_ids: tuple[int, ...], skew: int,
-                 monitor: AccessMonitor):
+                 monitor: AccessMonitor, extent: Extent | None = None,
+                 extent_off: int = 0):
         self._phys = phys
         self._space = space
         self.base = base
@@ -162,6 +181,8 @@ class MemoryWindow:
         self._page_ids = page_ids
         self._skew = skew  # offset of window start within its first page
         self._monitor = monitor
+        self._extent = extent
+        self._extent_off = extent_off  # offset of window start in the extent
 
     def _start(self, off: int, n: int) -> tuple[int, int]:
         # bounds check; -> (page index, in-page offset) of the first byte
@@ -187,6 +208,10 @@ class MemoryWindow:
                 self._monitor.on_access(self._space, self.base + off, n, READ, (pid,))
             return bytes(self._phys[pid][inner:inner + n])
         pids = self._locate(off, n, idx, inner, READ)
+        ext = self._extent
+        if ext is not None and not ext.broken:
+            pos = self._extent_off + off
+            return ext.buf[pos:pos + n].tobytes()
         return b"".join([self._phys[pid] for pid in pids])[inner:inner + n]
 
     def write(self, off: int, data: bytes) -> None:
@@ -199,6 +224,12 @@ class MemoryWindow:
             self._phys[pid][inner:inner + n] = data
             return
         pids = self._locate(off, n, idx, inner, WRITE)
+        ext = self._extent
+        if ext is not None and not ext.broken:
+            pos = self._extent_off + off
+            ext.buf[pos:pos + n] = data
+            return
+        data = memoryview(data)
         pos = PAGE_SIZE - inner
         self._phys[pids[0]][inner:] = data[:pos]
         for pid in pids[1:]:
@@ -296,7 +327,8 @@ class AddressSpace:
         last = (off + max(length, 1) - 1) // PAGE_SIZE
         return MemoryWindow(self._authority.phys, self, vaddr, length,
                             m.page_ids[first:last + 1], off % PAGE_SIZE,
-                            self._authority.monitor)
+                            self._authority.monitor, m.extent,
+                            m.extent_off + off)
 
 
 class MemoryAuthority:
@@ -309,7 +341,8 @@ class MemoryAuthority:
 
     def __init__(self, total_pages: int = 65536):
         self.total_pages = total_pages
-        self.phys: dict[int, bytearray] = {}
+        self.phys: dict[int, memoryview] = {}   # page -> view into its extent
+        self._placed: dict[int, tuple[Extent, int]] = {}  # page -> (extent, index)
         self.table = PageAllocTable()
         self.monitor = AccessMonitor(self.table)
         self.registrations: dict[int, SharedRegistration] = {}
@@ -326,14 +359,16 @@ class MemoryAuthority:
         if len(self.table.entries) + n > self.total_pages:
             raise OutOfMemory(f"pool of {self.total_pages} pages exhausted")
         self.table.charge(owner, n)
+        ext = Extent(n)
         ids = []
-        for _ in range(n):
+        for k in range(n):
             if self._free:
                 pid = self._free.pop()
             else:
                 pid = self._next_page
                 self._next_page += 1
-            self.phys[pid] = bytearray(PAGE_SIZE)
+            self.phys[pid] = ext.buf[k * PAGE_SIZE:(k + 1) * PAGE_SIZE]
+            self._placed[pid] = (ext, k)
             self.table.entries[pid] = PageInfo(owner, world, purpose)
             ids.append(pid)
         return ids
@@ -346,8 +381,17 @@ class MemoryAuthority:
         for pid in sorted(page_ids, reverse=True):
             del self.table.entries[pid]
             del self.phys[pid]
+            self._placed.pop(pid)[0].broken = True
             self._free.append(pid)
         self.table.credit(owner, len(page_ids))
+
+    def _run_of(self, page_ids) -> tuple[Extent | None, int]:
+        """(extent, byte offset) when page_ids are, in order, one run of
+        pages of a single extent; else (None, 0)."""
+        ext, k = self._placed.get(page_ids[0], (None, 0)) if page_ids else (None, 0)
+        if any(self._placed.get(pid) != (ext, k + i) for i, pid in enumerate(page_ids)):
+            return None, 0
+        return ext, k * PAGE_SIZE
 
     # --- address spaces ---
 
@@ -367,7 +411,8 @@ class MemoryAuthority:
             raise BusFault("trusted pages can never enter a normal-world space")
         if base is None:
             base = space.fresh_base(len(page_ids) * PAGE_SIZE)
-        m = Mapping(base, len(page_ids) * PAGE_SIZE, tuple(page_ids), perms, world)
+        m = Mapping(base, len(page_ids) * PAGE_SIZE, tuple(page_ids), perms, world,
+                    None, *self._run_of(page_ids))
         space.add_mapping(m)
         return m
 
@@ -413,7 +458,8 @@ class MemoryAuthority:
             raise NotValidated(f"region {region_id} not in a mappable state")
         if base is None:
             base = space.fresh_base(reg.expected_size)
-        m = Mapping(base, reg.expected_size, reg.pages, perms, NORMAL, region_id)
+        m = Mapping(base, reg.expected_size, reg.pages, perms, NORMAL, region_id,
+                    *self._run_of(reg.pages))
         space.add_mapping(m)
         reg.state = MAPPED
         return m

@@ -6,11 +6,11 @@ import pytest
 from ringsim import ring as ringmod
 from ringsim.config import EBADF, EEXIST, EINVAL, ENOENT, INIT_SHM_ENV, SimConfig
 from ringsim.host import (AdversaryPolicy, HostOs, VirtualFs, _fill_bytes)
-from ringsim.promise import async_path_op
+from ringsim.promise import async_path_op, async_read, async_statx, async_write
 from ringsim.ring import (CQE_SIZE, SQE_SIZE, Cqe, Sqe, cq_ring_attach,
                           cq_ring_init, ring_region_bytes, sq_ring_attach,
                           sq_ring_init)
-from ringsim.shim import sync_call
+from ringsim.shim import PosixShim, sync_call
 from ringsim.shm import NORMAL, TRUSTED, MemoryAuthority
 
 from helpers import app_sim, spawn_app
@@ -191,6 +191,26 @@ def test_open_read_write_statx_close():
     assert cqe.result == -EINVAL
 
 
+def test_read_view_is_gone_before_the_file_grows():
+    # a 64 KiB read and a write that extends the same file, delivered in
+    # one slice: the read's view of the file must be released by then
+    w = World(manifest="/data/\n/data/f 65536 4096 0\n")
+    auth, pspace = w.host.authority, w.host.proxy_space
+    big = auth.map_private(pspace, auth.alloc_pages(16, "proxy", NORMAL)).base
+    fd, t = _open(w, 0)
+    w.buf.write(512, b"tail")
+    rd = w.submit(ringmod.OP_READ, fd=fd, addr=big, ln=65536)
+    wr = w.submit(ringmod.OP_WRITE, fd=fd, addr=w.buf_addr + 512, ln=4,
+                  off=65536)
+    w.pump(t, t + 20_000)
+    assert {c.user_data: c.result for c in w.drain()} == {rd: 65536, wr: 4}
+    consumed = [e[1] for e in w.host.events if e[0] == "sqe" and e[4] in (rd, wr)]
+    assert len(consumed) == 2 and consumed[0] == consumed[1]  # same ready time
+    data = w.host.vfs.files["/data/f"].data
+    assert pspace.access(big, 65536).read(0, 65536) == data[:65536]
+    assert data[65536:] == b"tail"
+
+
 @pytest.mark.parametrize("op", [ringmod.OP_OPEN, ringmod.OP_UNLINK,
                                 ringmod.OP_MKDIR],
                          ids=["open", "unlink", "mkdir"])
@@ -204,6 +224,28 @@ def test_non_utf8_path_is_einval(op):
     _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
     sim.run_until(30_000_000)              # the host must not crash
     assert out["r"] == -EINVAL
+
+
+_FD_OPS = {"read": lambda rt, fd: async_read(rt, fd, 64),
+           "write": lambda rt, fd: async_write(rt, fd, b"x" * 64),
+           "statx": async_statx}
+
+
+@pytest.mark.parametrize("op", sorted(_FD_OPS))
+def test_fd_ops_after_unlink_are_errnos(op):
+    # an fd whose file is gone is as unknown as a closed one, and the host
+    # keeps running
+    sim = app_sim("/data/\n/data/f 4096 512 0\n")
+
+    def body(rt, out):
+        shim = PosixShim(rt, timeout_ns=10_000_000)
+        fd = yield from shim.open("/data/f")
+        out["unlink"] = yield from shim.unlink("/data/f")
+        out["r"] = yield from sync_call(rt, _FD_OPS[op](rt, fd), 10_000_000)
+
+    _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
+    sim.run_until(30_000_000)
+    assert out == {"unlink": 0, "r": -EBADF}
 
 
 def test_fd_table_dense_from_three():

@@ -328,8 +328,26 @@ def _window_op(draw, skew, length):
     return kind, off, arg
 
 
+# how the mapped pages were allocated and in which order they are mapped:
+# one allocation in order is the only layout served by the flat path
+LAYOUTS = ("allocated", "shuffled", "two allocations")
+
+
+def _layout_pages(auth, layout, rng):
+    if layout == "two allocations":
+        first = auth.alloc_pages(MAPPED_PAGES // 2, "proxy", NORMAL)
+        return first + auth.alloc_pages(MAPPED_PAGES - len(first), "proxy", NORMAL)
+    page_ids = auth.alloc_pages(MAPPED_PAGES, "proxy", NORMAL)
+    if layout == "shuffled":
+        rng.shuffle(page_ids)
+    return page_ids
+
+
 @st.composite
 def _window_ops(draw):
+    layout = draw(st.sampled_from(LAYOUTS))
+    # a mapped page freed and allocated again once the window exists
+    refreed = draw(st.one_of(st.none(), st.integers(0, MAPPED_PAGES - 1)))
     skew = draw(st.one_of(st.just(0), st.integers(0, PAGE_SIZE - 1)))
     length = draw(st.one_of(
         st.integers(0, MAPPED_PAGES * PAGE_SIZE - skew),
@@ -337,21 +355,27 @@ def _window_ops(draw):
         st.builds(lambda k: k * PAGE_SIZE - skew, st.integers(1, MAPPED_PAGES))))
     ops = draw(st.lists(_window_op(skew, length), min_size=8, max_size=16))
     ops += [("read", length, 0), ("write", length, 0)]  # zero-length at the end
-    return skew, length, random.Random(draw(st.integers(0, 2**32))), ops
+    return (layout, refreed, skew, length,
+            random.Random(draw(st.integers(0, 2**32))), ops)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_window_ops())
 def test_window_matches_flat_model(case):
-    skew, length, rng, ops = case
+    layout, refreed, skew, length, rng, ops = case
     auth = MemoryAuthority()
-    page_ids = auth.alloc_pages(MAPPED_PAGES, "proxy", NORMAL)
+    page_ids = _layout_pages(auth, layout, rng)
     for pid in page_ids:
         auth.phys[pid][:] = rng.randbytes(PAGE_SIZE)
-    model = bytearray(b"".join(auth.phys[pid] for pid in page_ids))
     space = auth.create_space("proxy", NORMAL)
     m = auth.map_private(space, page_ids)
     w = space.access(m.base + skew, length, "rw")
+    if refreed is not None:
+        pid = page_ids[refreed]
+        auth.free_pages([pid], "proxy")
+        assert auth.alloc_pages(1, "proxy", NORMAL) == [pid]
+        auth.phys[pid][:] = rng.randbytes(PAGE_SIZE)
+    model = bytearray(b"".join(auth.phys[pid] for pid in page_ids))
     wids = page_ids[:(skew + max(length, 1) - 1) // PAGE_SIZE + 1]
     calls = []
     auth.monitor.on_access = lambda sp, vaddr, n, mode, pids: calls.append(
