@@ -403,9 +403,7 @@ class HostOs:
     def _build_completion(self, eid: str, sqe: Sqe, corrupt: bool):
         """Compute the op now; apply byte effects and CQE at delivery time."""
 
-        def deliver(now: int) -> None:
-            result, payload_addr, payload = self._execute(sqe)
-            view = payload
+        def complete(now: int, result: int, payload_addr, payload) -> None:
             tampered = False
             if corrupt:
                 tampered = True
@@ -424,8 +422,14 @@ class HostOs:
                 self.events.read_payload(now, eid, sqe.user_data,
                                          self.fds.get(sqe.fd), not tampered,
                                          sqe.off, len(payload), result)
-            if isinstance(view, memoryview):
-                view.release()  # a file with a view exported cannot grow
+
+        def deliver(now: int) -> None:
+            result, payload_addr, payload = self._execute(sqe)
+            try:
+                complete(now, result, payload_addr, payload)
+            finally:
+                if isinstance(payload, memoryview):
+                    payload.release()  # a file with a view exported cannot grow
 
         return deliver
 

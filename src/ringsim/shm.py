@@ -62,10 +62,11 @@ class Extent:
     """The bytes of one allocation's pages, end to end. Broken once any of
     its pages is freed: its offsets then no longer name live pages."""
 
-    __slots__ = ("buf", "broken")
+    __slots__ = ("buf", "page_ids", "broken")
 
     def __init__(self, npages: int):
         self.buf = memoryview(bytearray(npages * PAGE_SIZE))
+        self.page_ids: tuple[int, ...] = ()  # in buffer order
         self.broken = False
 
 
@@ -159,12 +160,11 @@ class MemoryWindow:
 
     Every access goes through read/write (byte strings) or unpack/pack
     (fixed-size `struct.Struct` records), so the monitor sees each one. An
-    access that lies inside one page is served in place from that page.
-    One that crosses a page edge is one slice copy when the mapping's pages
-    are one run of an unbroken extent (the flat path); otherwise it is
-    assembled page by page. Slices never escape: read() returns copies
-    (snapshots). Pages are looked up on every per-page access, and a freed
-    page breaks its extent, so an access to a freed page fails.
+    access that lies inside one page is served in place from that page;
+    one that crosses a page edge is one slice copy when the mapping's pages
+    are one run of an unbroken extent (the flat path), else page by page.
+    Slices never escape: read() returns copies (snapshots). Freeing a page
+    breaks its extent, so an access to a freed page fails.
     """
 
     __slots__ = ("_phys", "_space", "base", "length", "_page_ids", "_skew",
@@ -342,7 +342,7 @@ class MemoryAuthority:
     def __init__(self, total_pages: int = 65536):
         self.total_pages = total_pages
         self.phys: dict[int, memoryview] = {}   # page -> view into its extent
-        self._placed: dict[int, tuple[Extent, int]] = {}  # page -> (extent, index)
+        self._extents: dict[int, Extent] = {}   # page -> its extent
         self.table = PageAllocTable()
         self.monitor = AccessMonitor(self.table)
         self.registrations: dict[int, SharedRegistration] = {}
@@ -368,9 +368,10 @@ class MemoryAuthority:
                 pid = self._next_page
                 self._next_page += 1
             self.phys[pid] = ext.buf[k * PAGE_SIZE:(k + 1) * PAGE_SIZE]
-            self._placed[pid] = (ext, k)
+            self._extents[pid] = ext
             self.table.entries[pid] = PageInfo(owner, world, purpose)
             ids.append(pid)
+        ext.page_ids = tuple(ids)
         return ids
 
     def free_pages(self, page_ids: list[int], owner: str) -> None:
@@ -381,15 +382,18 @@ class MemoryAuthority:
         for pid in sorted(page_ids, reverse=True):
             del self.table.entries[pid]
             del self.phys[pid]
-            self._placed.pop(pid)[0].broken = True
+            self._extents.pop(pid).broken = True
             self._free.append(pid)
         self.table.credit(owner, len(page_ids))
 
     def _run_of(self, page_ids) -> tuple[Extent | None, int]:
         """(extent, byte offset) when page_ids are, in order, one run of
-        pages of a single extent; else (None, 0)."""
-        ext, k = self._placed.get(page_ids[0], (None, 0)) if page_ids else (None, 0)
-        if any(self._placed.get(pid) != (ext, k + i) for i, pid in enumerate(page_ids)):
+        pages of a single unbroken extent; else (None, 0)."""
+        ext = self._extents.get(page_ids[0]) if page_ids else None
+        if ext is None or ext.broken:
+            return None, 0
+        k = ext.page_ids.index(page_ids[0])
+        if ext.page_ids[k:k + len(page_ids)] != tuple(page_ids):
             return None, 0
         return ext, k * PAGE_SIZE
 
