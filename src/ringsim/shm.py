@@ -172,8 +172,8 @@ class MemoryWindow:
 
     def __init__(self, phys: dict[int, memoryview], space: "AddressSpace",
                  base: int, length: int, page_ids: tuple[int, ...], skew: int,
-                 monitor: AccessMonitor, extent: Extent | None = None,
-                 extent_off: int = 0):
+                 monitor: AccessMonitor, extent: Extent | None,
+                 extent_off: int):
         self._phys = phys
         self._space = space
         self.base = base
@@ -388,9 +388,9 @@ class MemoryAuthority:
 
     def _run_of(self, page_ids) -> tuple[Extent | None, int]:
         """(extent, byte offset) when page_ids are, in order, one run of
-        pages of a single unbroken extent; else (None, 0)."""
+        pages of a single extent; else (None, 0)."""
         ext = self._extents.get(page_ids[0]) if page_ids else None
-        if ext is None or ext.broken:
+        if ext is None:
             return None, 0
         k = ext.page_ids.index(page_ids[0])
         if ext.page_ids[k:k + len(page_ids)] != tuple(page_ids):

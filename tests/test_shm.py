@@ -346,8 +346,10 @@ def _layout_pages(auth, layout, rng):
 @st.composite
 def _window_ops(draw):
     layout = draw(st.sampled_from(LAYOUTS))
-    # a mapped page freed and allocated again once the window exists
-    refreed = draw(st.one_of(st.none(), st.integers(0, MAPPED_PAGES - 1)))
+    # a mapped page freed and allocated again, before the mapping is made
+    # or once the window exists
+    refreed = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, MAPPED_PAGES - 1), st.sampled_from(["map", "window"]))))
     skew = draw(st.one_of(st.just(0), st.integers(0, PAGE_SIZE - 1)))
     length = draw(st.one_of(
         st.integers(0, MAPPED_PAGES * PAGE_SIZE - skew),
@@ -367,14 +369,19 @@ def test_window_matches_flat_model(case):
     page_ids = _layout_pages(auth, layout, rng)
     for pid in page_ids:
         auth.phys[pid][:] = rng.randbytes(PAGE_SIZE)
+
+    def refree(before: str) -> None:
+        if refreed is not None and refreed[1] == before:
+            pid = page_ids[refreed[0]]
+            auth.free_pages([pid], "proxy")
+            assert auth.alloc_pages(1, "proxy", NORMAL) == [pid]
+            auth.phys[pid][:] = rng.randbytes(PAGE_SIZE)
+
     space = auth.create_space("proxy", NORMAL)
+    refree("map")
     m = auth.map_private(space, page_ids)
     w = space.access(m.base + skew, length, "rw")
-    if refreed is not None:
-        pid = page_ids[refreed]
-        auth.free_pages([pid], "proxy")
-        assert auth.alloc_pages(1, "proxy", NORMAL) == [pid]
-        auth.phys[pid][:] = rng.randbytes(PAGE_SIZE)
+    refree("window")
     model = bytearray(b"".join(auth.phys[pid] for pid in page_ids))
     wids = page_ids[:(skew + max(length, 1) - 1) // PAGE_SIZE + 1]
     calls = []
