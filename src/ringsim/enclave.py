@@ -162,12 +162,17 @@ class RingHandle:
     def reap(self, budget: int, deliver) -> int:
         """pump's drain: up to `budget` events in one CQ batch, handing each
         completion to deliver(); -> events used. A round of junk (a full drop
-        budget) is an event too, so a flooded ring drains across calls."""
+        budget) is an event too, so a flooded ring drains across calls. The
+        drain stops once the batch's clamped occupancy reaches 0, so an
+        empty CQ with no held front costs the one tail load."""
         cq = self._cq
-        cq.begin_consume()
+        if not cq.begin_consume() and self._front is None:
+            cq.end_consume()
+            return 0
         n = 0
         try:
-            while n < budget:
+            while n < budget and (self._front is not None or
+                                  cq.consumer_occupancy()):
                 comp = self.peek_cqe()
                 if comp is not None:
                     self.consume_cqe()

@@ -248,7 +248,8 @@ class HostOs:
     # --- slice body ---
 
     def on_slice(self, now: int) -> int:
-        """One host scheduling step: interrupts, due completions, SQ poll."""
+        """One host scheduling step: interrupts, due completions (only if the
+        worker heap's top is due), SQ poll (one tail load per empty SQ)."""
         if self.policy.kill_proxy_at >= 0 and now >= self.policy.kill_proxy_at \
                 and self.proxy_alive:
             self._kill_proxy(now)
@@ -260,7 +261,9 @@ class HostOs:
                     self.events.poller_wake(now)
                 self.poller_awake = True
                 self.idle_deadline = now + self.cfg.poller_idle_timeout
-        served = self._deliver_due(now)
+        workers = self.workers
+        served = self._deliver_due(now) if workers and workers[0][0] <= now \
+            else 0
         if self.poller_awake and self.proxy_alive:
             served += self._poll_rings(now)
         if self.policy.scribble_rate > 0:
@@ -310,9 +313,10 @@ class HostOs:
         total = 0
         for eid, (sq, _cq) in self.rings.items():
             batch = sq.consume_batch(self.cfg.host_batch)
-            for sqe in batch:
-                self._service(eid, sqe, now)
-            total += len(batch)
+            if batch:
+                for sqe in batch:
+                    self._service(eid, sqe, now)
+                total += len(batch)
         if total:
             self.idle_deadline = now + self.cfg.poller_idle_timeout
         elif now >= self.idle_deadline and self.poller_awake:

@@ -24,9 +24,12 @@ utilization sum, budget exhaustion forces preemption, replenishment happens
 exactly at period boundaries. Fixed-priority chooses the highest priority
 (ties: lower task id); EDF chooses the earliest deadline (ties: earlier
 admission). advance() is a pure function of scheduler state, so identical
-inputs replay identical traces. The earliest replenish instant of the live
-tasks is cached, so only slices that start at a period boundary scan the
-task list to replenish.
+inputs replay identical traces. A slice pays one check for what did not
+change: only a slice that starts at the cached earliest replenish instant
+scans the tasks to replenish, and fixed priority dispatches the first
+eligible task of a list kept sorted by (-priority, tid), rebuilt on admit
+and exit (EDF scans for the earliest deadline). `trace_enabled` and
+`record_timeline` are read once per run_until call.
 """
 from __future__ import annotations
 
@@ -77,7 +80,8 @@ class BudgetScheduler:
         self.policy = policy
         self.now = 0
         self.tasks: dict[str, TaskControl] = {}
-        self._order: list[TaskControl] = []
+        self._order: list[TaskControl] = []   # live tasks, in tid order
+        self._ranked: list[TaskControl] = []  # live tasks, FP pick order
         self._running: TaskControl | None = None
         self._next_tid = 0
         self.trace = SchedTrace()  # (now, task, event)
@@ -110,6 +114,8 @@ class BudgetScheduler:
         t.deadline = self.now + period
         self.tasks[name] = t
         self._order.append(t)
+        self._ranked.append(t)
+        self._ranked.sort(key=lambda c: (-c.priority, c.tid))
         self.util += u
         self._refresh_boundary()
         return t
@@ -130,9 +136,9 @@ class BudgetScheduler:
                              default=None)
 
     def _do_replenish(self) -> None:
-        if self._boundary is None or self.now < self._boundary:
-            return
+        """Replenish the due tasks; run_until calls it at the boundary."""
         now = self.now
+        record = self.trace.record if self.trace_enabled else None
         boundary = None
         for t in self._order:
             if t.next_replenish <= now:
@@ -143,50 +149,16 @@ class BudgetScheduler:
                 t.window_executed = 0
                 t.deadline = t.next_replenish + t.period
                 t.next_replenish += t.period
-                self._emit(t, "replenish")
+                if record is not None:
+                    record(now, t.name, "replenish")
             if boundary is None or t.next_replenish < boundary:
                 boundary = t.next_replenish
         self._boundary = boundary
 
-    def _pick(self) -> TaskControl | None:
-        # _order is in tid order, so strict comparisons break ties by tid
-        best = None
-        if self.policy == FP:
-            for t in self._order:
-                if not t.yielded and t.remaining > 0 and \
-                        (best is None or t.priority > best.priority):
-                    best = t
-        else:
-            for t in self._order:
-                if not t.yielded and t.remaining > 0 and \
-                        (best is None or t.deadline < best.deadline):
-                    best = t
-        return best
-
-    def _set_running(self, t: TaskControl | None) -> None:
-        if self._running is t:
-            return
-        if self._running is not None:
-            self._emit(self._running, "preempt")
-        self._running = t
-        if t is not None:
-            self._emit(t, "dispatch")
-            self._end_wait(t)
-
-    @staticmethod
-    def _end_wait(t: TaskControl) -> None:
-        """Cut a wait in progress down to the tick in progress."""
-        if t.wait_tick:
-            t.cmd_left %= t.wait_tick
-
-    def _drop_running(self) -> None:
-        # running task stopped by its own event (yield/exhaust/exit): the
-        # specific event was already traced, so no preempt record
-        self._running = None
-
     def _exit_task(self, t: TaskControl) -> None:
         t.alive = False
         self._order.remove(t)
+        self._ranked.remove(t)
         self._refresh_boundary()
         self._emit(t, "exit")
         self.util -= Fraction(t.budget, t.period)
@@ -208,7 +180,7 @@ class BudgetScheduler:
             try:
                 cmd = t.gen.send(value)
             except StopIteration:
-                self._drop_running()
+                self._running = None
                 self._exit_task(t)
                 return False
             if cmd[0] == "compute":
@@ -226,7 +198,7 @@ class BudgetScheduler:
                 t.yielded = True
                 t.cmd_left = None
                 self._emit(t, "yield")
-                self._drop_running()
+                self._running = None
                 return False
             else:
                 raise ValueError(f"unknown scheduling command {cmd!r}")
@@ -238,36 +210,65 @@ class BudgetScheduler:
     def run_until(self, t_end: int) -> None:
         # callers may change the world between calls (spawns, injected
         # completions), so a wait in progress ends as on a re-dispatch
-        if self._running is not None:
-            self._end_wait(self._running)
+        running = self._running
+        if running is not None and running.wait_tick:
+            running.cmd_left %= running.wait_tick
+        record = self.trace.record if self.trace_enabled else None
+        timeline = self.timeline if self.record_timeline else None
+        fp = self.policy == FP
         while self.now < t_end:
-            self._do_replenish()
-            task = self._pick()
+            now = self.now
+            if self._boundary is not None and now >= self._boundary:
+                self._do_replenish()
+            task = None
+            if fp:
+                for t in self._ranked:
+                    if t.remaining > 0 and not t.yielded:
+                        task = t
+                        break
+            else:
+                # _order is in tid order, so a strict < breaks ties by tid
+                for t in self._order:
+                    if t.remaining > 0 and not t.yielded and \
+                            (task is None or t.deadline < task.deadline):
+                        task = t
+            running = self._running
+            if task is not running:
+                if running is not None and record is not None:
+                    record(now, running.name, "preempt")
+                self._running = task
+                if task is not None:
+                    if record is not None:
+                        record(now, task.name, "dispatch")
+                    if task.wait_tick:  # cut to the tick in progress
+                        task.cmd_left %= task.wait_tick
             if task is None:
-                self._set_running(None)
                 nxt = self._boundary
                 self.now = t_end if nxt is None else min(nxt, t_end)
                 continue
-            if task is not self._running:
-                self._set_running(task)
             if not task.cmd_left and not self._ensure_command(task):
                 continue
             # the slice ends at the first of: run end, budget exhausted,
             # command done, next replenish boundary
-            now = self.now
-            slice_end = min(t_end, now + task.remaining, now + task.cmd_left)
+            left = task.cmd_left
+            slice_end = now + (task.remaining if task.remaining < left else left)
+            if t_end < slice_end:
+                slice_end = t_end
             nxt = self._boundary
             if nxt is not None and nxt < slice_end:
                 slice_end = nxt
             dt = slice_end - now
             if dt > 0:
-                if self.record_timeline:
-                    self.timeline.append((self.now, slice_end, task.name))
+                if timeline is not None:
+                    timeline.append((now, slice_end, task.name))
                 self.now = slice_end
                 task.remaining -= dt
                 task.cmd_left -= dt
                 task.executed_total += dt
                 task.window_executed += dt
             if task.remaining == 0:
-                self._emit(task, "exhaust")
-                self._drop_running()
+                # a task stopped by its own event (exhaust, and yield or exit
+                # in _ensure_command) gets no preempt record
+                if record is not None:
+                    record(self.now, task.name, "exhaust")
+                self._running = None

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ring as ringmod
-from .config import EAGAIN, EFAULT, EINTR, EIO, ENOMEM, ETIMEDOUT
+from .config import EAGAIN, EBADF, EFAULT, EINTR, EIO, ENOMEM, ETIMEDOUT
 from .enclave import SqeArgs
 from .errors import PoolExhausted, RegistrationRejected, Untranslatable
 from .promise import (FAILED, FULFILLED, async_open, async_path_op,
@@ -114,7 +114,8 @@ class _ShimFile:
 
 
 class PosixShim:
-    """open/read/write/flush/close over the async engine, for task bodies."""
+    """open/read/write/flush/close over the async engine, for task bodies;
+    an fd the shim does not hold gets -EBADF without touching the ring."""
 
     def __init__(self, rt, timeout_ns: int | None = None):
         self.rt = rt
@@ -141,7 +142,9 @@ class PosixShim:
     # --- reads (unbuffered) ---
 
     def read(self, fd: int, n: int, off: int | None = None):
-        f = self._files[fd]
+        f = self._files.get(fd)
+        if f is None:
+            return -EBADF
         at = f.read_pos if off is None else off
         data = yield from sync_call(self.rt, async_read(self.rt, fd, n, at),
                                     self.timeout_ns)
@@ -159,7 +162,9 @@ class PosixShim:
         the drain times out. Staging drains, its partial tail included,
         until data fits under the cap or nothing is staged, so one write
         larger than the cap is staged whole and may exceed it."""
-        f = self._files[fd]
+        f = self._files.get(fd)
+        if f is None:
+            return -EBADF
         self.rt.pump()  # keeps the staged-chunk chain moving between waits
         if f.error:
             return -f.error
@@ -229,7 +234,9 @@ class PosixShim:
 
     def flush(self, fd: int):
         """Drain staging (tail included) and the in-flight write."""
-        f = self._files[fd]
+        f = self._files.get(fd)
+        if f is None:
+            return -EBADF
         waited = 0
         while (f.staged or f.inflight is not None) and not f.error:
             self._maybe_submit(f, tail=True)
@@ -240,6 +247,8 @@ class PosixShim:
         return -f.error if f.error else 0
 
     def close(self, fd: int):
+        if fd not in self._files:
+            return -EBADF
         r = yield from self.flush(fd)
         p = self.rt.submit_async(ringmod.OP_CLOSE,
                                  SqeArgs(fd=fd, translate=False))

@@ -115,11 +115,14 @@ class EnclaveRuntime:
         return p
 
     def pump(self, max_events: int | None = None) -> int:
-        """Drain up to max_events events (RingHandle.reap), run deferred work."""
+        """Drain up to max_events events (RingHandle.reap), run deferred work.
+        An idle pump (nothing parked or deferred, no held front, CQ tail equal
+        to the private head) returns after its one tail load."""
         self.handle.pump_parked()
         budget = self.cfg.max_events if max_events is None else max_events
         n = self.handle.reap(budget, self.pool.settle_from_cqe)
-        self.pool.run_deferred()
+        if self.pool.deferred_count:
+            self.pool.run_deferred()
         return n
 
     def poll_wait(self, until: int | None):

@@ -206,6 +206,7 @@ class RefSched:
     def admit(self, name, kind, period, budget, script, priority=0):
         t = RefTask(len(self.tasks), name, kind, period, budget, priority,
                     script)
+        t.next_replenish = t.deadline = self.now + period
         self.tasks.append(t)
         return t
 

@@ -178,6 +178,50 @@ def test_wait_matches_tick_by_tick_reference():
     assert waits_ended > 200
 
 
+def test_fp_pick_matches_reference_with_ties_exits_and_late_admission():
+    # the FP ready list is sorted by (-priority, tid) and rebuilt on admit
+    # and exit: priorities drawn from two values tie often, finite scripts
+    # exit mid-run, and one task joins between two run_until calls
+    rng = random.Random(7171)
+    exits = late_dispatches = 0
+    for trial in range(60):
+        horizon = rng.randrange(80, 300)
+        tasks = [(name, period, budget, rng.randrange(0, 2), script)
+                 for name, period, budget, _, script in
+                 _random_wait_taskset(rng, rng.randrange(3, 7), horizon)]
+        if len(tasks) < 2:
+            continue
+        *early, late = tasks
+        cut = rng.randrange(1, horizon)
+        real = BudgetScheduler(FP)
+        real.record_timeline = True
+        ref = RefSched(FP)
+        starts, waits = [], []
+
+        def admit(name, period, budget, prio, script):
+            real.admit(name, ENCLAVE, period, budget,
+                       recorded_script_gen(real, name, script, starts, waits),
+                       priority=prio)
+            ref.admit(name, ENCLAVE, period, budget, script, priority=prio)
+
+        for task in early:
+            admit(*task)
+        real.run_until(cut)
+        ref.run_until(cut)
+        admit(*late)
+        real.run_until(horizon)
+        ref.run_until(horizon)
+        what = f"trial {trial}"
+        assert real.trace == ref.trace, what
+        assert expand_timeline(real.timeline) == set(ref.ticks), what
+        assert starts == ref.starts, what
+        assert waits == ref.waits, what
+        exits += sum(ev == "exit" for _, _, ev in real.trace)
+        late_dispatches += (late[0], "dispatch") in \
+            {(name, ev) for _, name, ev in real.trace}
+    assert exits > 50 and late_dispatches > 20
+
+
 def test_wait_sends_ticks_and_rejects_bad_tick():
     s = BudgetScheduler(FP)
     got = []

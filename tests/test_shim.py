@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from ringsim.config import (EAGAIN, EINTR, ENOENT, ETIMEDOUT, INIT_SHM_ENV,
-                            SimConfig)
+from ringsim.config import (EAGAIN, EBADF, EINTR, ENOENT, ETIMEDOUT,
+                            INIT_SHM_ENV, SimConfig)
 from ringsim.enclave import SqeArgs
 from ringsim.host import AdversaryPolicy, HostOs
 from ringsim import ring as ringmod
@@ -70,6 +70,34 @@ def test_open_read_write_flush_close():
     final = bytes(sim.vfs.files["/data/f"].data[:1200])
     assert final == b"a" * 600 + b"b" * 600
     assert out["fd"] not in sim.host.fds
+
+
+def test_unheld_descriptor_gets_ebadf_without_a_ring_access():
+    # a closed fd, a never-opened fd and a second close: POSIX says EBADF,
+    # and nothing reaches the ring (the armed monitor sees no access)
+    sim = app_sim(MANIFEST)
+    monitor = sim.authority.monitor
+
+    def body(rt, out):
+        sh = PosixShim(rt)
+        fd = yield from sh.open("/data/f")
+        out["rc"] = yield from sh.close(fd)
+        monitor.arm()
+        mark = monitor.mark()
+        out["read"] = yield from sh.read(fd, 8, 0)
+        out["write"] = yield from sh.write(99, b"x")
+        out["flush"] = yield from sh.flush(99)
+        out["close"] = yield from sh.close(fd)
+        out["accesses"] = monitor.delta(mark)
+        monitor.disarm()
+        out["done"] = True
+
+    _, out = spawn_app(sim, body, env=ENV)
+    sim.run_until(30_000_000)
+    assert out.get("done") and out["rc"] == 0
+    assert [out[k] for k in ("read", "write", "flush", "close")] == \
+        [-EBADF] * 4
+    assert out["accesses"] == 0
 
 
 def test_writes_coalesce_into_block_sqes():

@@ -1,4 +1,6 @@
 """Whole-platform wiring: launch flow, grant attach, liveness under silence."""
+import pytest
+
 from ringsim import ring as ringmod
 from ringsim.config import SimConfig
 from ringsim.enclave import RingHandle, SqeArgs
@@ -269,3 +271,45 @@ def test_pump_delivers_every_completion_through_peek_cqe_and_ring_peek(
     assert [c.internal_id for c in settled] == \
         [ud for ud in entries if ud < 1 << 63]
     assert len(entries) > 12  # the junk went through Ring.peek too
+
+
+@pytest.mark.parametrize("k", [1, 5, 12])
+def test_idle_pump_costs_one_tail_load_and_a_drain_peeks_once_per_entry(
+        k, monkeypatch):
+    # an idle pump stops after its CQ tail load; a pump that drains k honest
+    # completions stops at the batch's clamped occupancy, not on a peek of
+    # an empty ring
+    peeks, peek_cqes = [0], [0]
+
+    def count(cls, name, n):
+        real = getattr(cls, name)
+
+        def wrapper(self, *args):
+            n[0] += 1
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    count(Ring, "peek", peeks)
+    count(RingHandle, "peek_cqe", peek_cqes)
+    sim = app_sim()
+    monitor = sim.authority.monitor
+
+    def body(rt, out):
+        yield ("compute", 2000)
+        monitor.arm()
+        mark, before = monitor.mark(), (peeks[0], peek_cqes[0])
+        out["idle"] = (rt.pump(), monitor.delta(mark),
+                       peeks[0] - before[0], peek_cqes[0] - before[1])
+        monitor.disarm()
+        ps = [rt.submit_async(ringmod.OP_GETPID, SqeArgs()) for _ in range(k)]
+        while rt.handle.cq_backlog() < k:
+            yield ("compute", 2000)
+        before = peeks[0]
+        out["drain"] = (rt.pump(), peeks[0] - before)
+        out["states"] = [poll(p) for p in ps]
+
+    rt, out = spawn_app(sim, body)
+    sim.run_until(5_000_000)
+    assert out["idle"] == (0, 1, 0, 0)
+    assert out["drain"] == (k, k)
+    assert out["states"] == [FULFILLED] * k
