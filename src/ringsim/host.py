@@ -261,9 +261,9 @@ class HostOs:
                     self.events.poller_wake(now)
                 self.poller_awake = True
                 self.idle_deadline = now + self.cfg.poller_idle_timeout
-        workers = self.workers
-        served = self._deliver_due(now) if workers and workers[0][0] <= now \
-            else 0
+        served = 0
+        if self.workers and self.workers[0][0] <= now:
+            served = self._deliver_due(now)
         if self.poller_awake and self.proxy_alive:
             served += self._poll_rings(now)
         if self.policy.scribble_rate > 0:
