@@ -166,9 +166,7 @@ class RingHandle:
         drain stops once the batch's clamped occupancy reaches 0, so an
         empty CQ with no held front costs the one tail load."""
         cq = self._cq
-        if not cq.begin_consume() and self._front is None:
-            cq.end_consume()
-            return 0
+        cq.begin_consume()
         n = 0
         try:
             while n < budget and (self._front is not None or

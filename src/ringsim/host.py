@@ -248,8 +248,9 @@ class HostOs:
     # --- slice body ---
 
     def on_slice(self, now: int) -> int:
-        """One host scheduling step: interrupts, due completions (only if the
-        worker heap's top is due), SQ poll (one tail load per empty SQ)."""
+        """One host scheduling step: interrupts, due completions (one look at
+        the worker heap's top when none is due), SQ poll (one tail load per
+        empty SQ)."""
         if self.policy.kill_proxy_at >= 0 and now >= self.policy.kill_proxy_at \
                 and self.proxy_alive:
             self._kill_proxy(now)
@@ -261,9 +262,7 @@ class HostOs:
                     self.events.poller_wake(now)
                 self.poller_awake = True
                 self.idle_deadline = now + self.cfg.poller_idle_timeout
-        served = 0
-        if self.workers and self.workers[0][0] <= now:
-            served = self._deliver_due(now)
+        served = self._deliver_due(now)
         if self.poller_awake and self.proxy_alive:
             served += self._poll_rings(now)
         if self.policy.scribble_rate > 0:
@@ -313,10 +312,9 @@ class HostOs:
         total = 0
         for eid, (sq, _cq) in self.rings.items():
             batch = sq.consume_batch(self.cfg.host_batch)
-            if batch:
-                for sqe in batch:
-                    self._service(eid, sqe, now)
-                total += len(batch)
+            for sqe in batch:
+                self._service(eid, sqe, now)
+            total += len(batch)
         if total:
             self.idle_deadline = now + self.cfg.poller_idle_timeout
         elif now >= self.idle_deadline and self.poller_awake:

@@ -162,12 +162,10 @@ class Ring:
 
     # --- consumer side ---
 
-    def begin_consume(self) -> bool:
-        """Open a batch: one tail load; the head is stored at end_consume.
-        False when the tail equals the private head (nothing to consume)."""
+    def begin_consume(self) -> None:
+        """Open a batch: one tail load; the head is stored at end_consume."""
         self._held = self._win.unpack(_HDR_U32, _TAIL)[0]
         self._mark = self._head
-        return self._held != self._head
 
     def end_consume(self) -> None:
         self._held = None

@@ -27,12 +27,13 @@ admission). advance() is a pure function of scheduler state, so identical
 inputs replay identical traces. A slice pays one check for what did not
 change: only a slice that starts at the cached earliest replenish instant
 scans the tasks to replenish, and fixed priority dispatches the first
-eligible task of a list kept sorted by (-priority, tid), rebuilt on admit
-and exit (EDF scans for the earliest deadline). `trace_enabled` and
-`record_timeline` are read once per run_until call.
+eligible task of a list kept sorted by (-priority, tid) as tasks are
+admitted and exit (EDF scans for the earliest deadline). `trace_enabled`
+and `record_timeline` are read once per run_until call.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -114,17 +115,12 @@ class BudgetScheduler:
         t.deadline = self.now + period
         self.tasks[name] = t
         self._order.append(t)
-        self._ranked.append(t)
-        self._ranked.sort(key=lambda c: (-c.priority, c.tid))
+        insort(self._ranked, t, key=lambda c: (-c.priority, c.tid))
         self.util += u
         self._refresh_boundary()
         return t
 
-    # --- trace helpers ---
-
-    def _emit(self, task: TaskControl, event: str) -> None:
-        if self.trace_enabled:
-            self.trace.record(self.now, task.name, event)
+    # --- trace ---
 
     def export_trace_lines(self) -> list[str]:
         return [f"{t} {name} {event}" for t, name, event in self.trace]
@@ -135,10 +131,10 @@ class BudgetScheduler:
         self._boundary = min((t.next_replenish for t in self._order),
                              default=None)
 
-    def _do_replenish(self) -> None:
-        """Replenish the due tasks; run_until calls it at the boundary."""
+    def _do_replenish(self, record) -> None:
+        """Replenish the due tasks; run_until calls it at the boundary.
+        `record` is the trace's record method, or None when tracing is off."""
         now = self.now
-        record = self.trace.record if self.trace_enabled else None
         boundary = None
         for t in self._order:
             if t.next_replenish <= now:
@@ -155,15 +151,16 @@ class BudgetScheduler:
                 boundary = t.next_replenish
         self._boundary = boundary
 
-    def _exit_task(self, t: TaskControl) -> None:
+    def _exit_task(self, t: TaskControl, record) -> None:
         t.alive = False
         self._order.remove(t)
         self._ranked.remove(t)
         self._refresh_boundary()
-        self._emit(t, "exit")
+        if record is not None:
+            record(self.now, t.name, "exit")
         self.util -= Fraction(t.budget, t.period)
 
-    def _ensure_command(self, t: TaskControl) -> bool:
+    def _ensure_command(self, t: TaskControl, record) -> bool:
         """Resume the body until it owes compute time. False when the task
         yielded or exited during the resume."""
         guard = 0
@@ -181,7 +178,7 @@ class BudgetScheduler:
                 cmd = t.gen.send(value)
             except StopIteration:
                 self._running = None
-                self._exit_task(t)
+                self._exit_task(t, record)
                 return False
             if cmd[0] == "compute":
                 t.cmd_left = cmd[1]
@@ -197,7 +194,8 @@ class BudgetScheduler:
             elif cmd[0] == "yield":
                 t.yielded = True
                 t.cmd_left = None
-                self._emit(t, "yield")
+                if record is not None:
+                    record(self.now, t.name, "yield")
                 self._running = None
                 return False
             else:
@@ -219,7 +217,7 @@ class BudgetScheduler:
         while self.now < t_end:
             now = self.now
             if self._boundary is not None and now >= self._boundary:
-                self._do_replenish()
+                self._do_replenish(record)
             task = None
             if fp:
                 for t in self._ranked:
@@ -246,7 +244,7 @@ class BudgetScheduler:
                 nxt = self._boundary
                 self.now = t_end if nxt is None else min(nxt, t_end)
                 continue
-            if not task.cmd_left and not self._ensure_command(task):
+            if not task.cmd_left and not self._ensure_command(task, record):
                 continue
             # the slice ends at the first of: run end, budget exhausted,
             # command done, next replenish boundary

@@ -121,8 +121,7 @@ class EnclaveRuntime:
         self.handle.pump_parked()
         budget = self.cfg.max_events if max_events is None else max_events
         n = self.handle.reap(budget, self.pool.settle_from_cqe)
-        if self.pool.deferred_count:
-            self.pool.run_deferred()
+        self.pool.run_deferred()
         return n
 
     def poll_wait(self, until: int | None):

@@ -149,53 +149,23 @@ def _random_wait_taskset(rng, n, horizon):
 
 
 def test_wait_matches_tick_by_tick_reference():
+    # priorities drawn from two values tie often under FP, finite scripts
+    # exit mid-run, and the last task is admitted at the first cut
     rng = random.Random(5151)
-    waits_ended = 0
-    for trial in range(80):
+    waits_ended = exits = late_dispatches = 0
+    for trial in range(120):
         policy = FP if trial % 2 == 0 else EDF
         horizon = rng.randrange(50, 300)
-        tasks = _random_wait_taskset(rng, rng.randrange(1, 6), horizon)
+        tasks = [(name, period, budget, prio % 2, script)
+                 for name, period, budget, prio, script in
+                 _random_wait_taskset(rng, rng.randrange(1, 6), horizon)]
+        # re-entering run_until ends waits in progress; cut the run up
+        cuts = sorted(rng.sample(range(1, horizon), rng.randrange(0, 4)))
+        late = tasks.pop() if cuts and len(tasks) > 1 else None
+        late_name = None
         real = BudgetScheduler(policy)
         real.record_timeline = True
         ref = RefSched(policy)
-        starts, waits = [], []
-        for name, period, budget, prio, script in tasks:
-            real.admit(name, ENCLAVE, period, budget,
-                       recorded_script_gen(real, name, script, starts, waits),
-                       priority=prio)
-            ref.admit(name, ENCLAVE, period, budget, script, priority=prio)
-        # re-entering run_until ends waits in progress; cut the run up
-        cuts = sorted(rng.sample(range(1, horizon), rng.randrange(0, 4)))
-        for t in cuts + [horizon]:
-            real.run_until(t)
-            ref.run_until(t)
-        what = f"trial {trial} ({policy})"
-        assert real.trace == ref.trace, what
-        assert expand_timeline(real.timeline) == set(ref.ticks), what
-        assert starts == ref.starts, what
-        assert waits == ref.waits, what
-        waits_ended += len(waits)
-    assert waits_ended > 200
-
-
-def test_fp_pick_matches_reference_with_ties_exits_and_late_admission():
-    # the FP ready list is sorted by (-priority, tid) and rebuilt on admit
-    # and exit: priorities drawn from two values tie often, finite scripts
-    # exit mid-run, and one task joins between two run_until calls
-    rng = random.Random(7171)
-    exits = late_dispatches = 0
-    for trial in range(60):
-        horizon = rng.randrange(80, 300)
-        tasks = [(name, period, budget, rng.randrange(0, 2), script)
-                 for name, period, budget, _, script in
-                 _random_wait_taskset(rng, rng.randrange(3, 7), horizon)]
-        if len(tasks) < 2:
-            continue
-        *early, late = tasks
-        cut = rng.randrange(1, horizon)
-        real = BudgetScheduler(FP)
-        real.record_timeline = True
-        ref = RefSched(FP)
         starts, waits = [], []
 
         def admit(name, period, budget, prio, script):
@@ -204,22 +174,24 @@ def test_fp_pick_matches_reference_with_ties_exits_and_late_admission():
                        priority=prio)
             ref.admit(name, ENCLAVE, period, budget, script, priority=prio)
 
-        for task in early:
+        for task in tasks:
             admit(*task)
-        real.run_until(cut)
-        ref.run_until(cut)
-        admit(*late)
-        real.run_until(horizon)
-        ref.run_until(horizon)
-        what = f"trial {trial}"
+        for t in cuts + [horizon]:
+            real.run_until(t)
+            ref.run_until(t)
+            if late is not None:
+                admit(*late)
+                late_name, late = late[0], None
+        what = f"trial {trial} ({policy})"
         assert real.trace == ref.trace, what
         assert expand_timeline(real.timeline) == set(ref.ticks), what
         assert starts == ref.starts, what
         assert waits == ref.waits, what
+        waits_ended += len(waits)
         exits += sum(ev == "exit" for _, _, ev in real.trace)
-        late_dispatches += (late[0], "dispatch") in \
+        late_dispatches += (late_name, "dispatch") in \
             {(name, ev) for _, name, ev in real.trace}
-    assert exits > 50 and late_dispatches > 20
+    assert waits_ended > 200 and exits > 100 and late_dispatches > 30
 
 
 def test_wait_sends_ticks_and_rejects_bad_tick():
