@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .config import PAGE_SIZE, SIZE_CLASSES
+from .config import INIT_SHM_ENV, PAGE_SIZE, SIZE_CLASSES
 from .errors import ArenaFull, DoubleFree, PoolExhausted, UseAfterFree
 
 _MAX_CLASS = SIZE_CLASSES[-1]
@@ -115,6 +115,11 @@ class ArenaPool:
         self._maybe_refill()
         return p
 
+    def cancel_request(self, p) -> None:
+        """Drop a request whose caller gave up, if it still waits."""
+        self._waiters = deque(w for w in self._waiters if w[1] is not p)
+        self._handle.pool.abandon(p)
+
     def free_arena(self, arena: Arena) -> None:
         if not arena.live:
             raise DoubleFree(f"arena {arena.arena_id} already freed")
@@ -127,7 +132,6 @@ class ArenaPool:
     def prefill(self, env: dict) -> None:
         """Issue the launch-time grant request named in the enclave env and
         split the block into the static class census when it lands."""
-        from .config import INIT_SHM_ENV
         raw = env.get(INIT_SHM_ENV)
         if not raw:
             return

@@ -25,8 +25,6 @@ EFAULT = 14
 ENOMEM = 12
 EEXIST = 17
 EINVAL = 22
-ENOSPC = 28
-EPIPE = 32
 
 # Arena size classes: powers of two, 256 B .. 64 KiB. Larger requests get a
 # dedicated block keyed by exact rounded size.

@@ -42,7 +42,7 @@ class SqeArgs:
 
 
 class Completion(NamedTuple):
-    tag: int
+    tag: object  # the caller tag given to prep_and_submit
     result: int
     flags: int
     internal_id: int
@@ -50,7 +50,7 @@ class Completion(NamedTuple):
 
 
 class _UserRecord(NamedTuple):
-    tag: int
+    tag: object
     opcode: int
 
 
@@ -82,20 +82,22 @@ class RingHandle:
         self._bases: list[int] = []
         self._region_counter = region_base
         self._parked: deque = deque()
+        self.backlog = False  # left by the last reap (see there)
         self.delivered_log = DeliveryLog()  # (internal_id, result)
 
     # --- submission ---
 
     def prep_and_submit(self, opcode: int, args: SqeArgs,
-                        caller_tag: int) -> int | None:
+                        caller_tag) -> int | None:
         """Translate, publish and record one submission, then ring the
         doorbell.
 
-        The caller tag goes into the private table, never into shared memory;
-        the published user_data is a fresh internal id, returned as an opaque
+        The caller tag (any private token; the promise pool passes the
+        promise) goes into the private table, never into shared memory; the
+        published user_data is a fresh internal id, returned as an opaque
         receipt (usable with retire()). While the table or the ring is full
-        the submission is parked for pump_parked() instead, and the result is
-        None. An untranslatable buffer raises and changes nothing.
+        the submission is parked for pump_parked() instead, and the result
+        is None. An untranslatable buffer raises and changes nothing.
         """
         self._sq.begin_produce()
         try:
@@ -112,7 +114,7 @@ class RingHandle:
         return len(self._table) < self._table_cap and \
             self._sq.producer_occupancy() < self._sq.entries
 
-    def _push(self, opcode: int, args: SqeArgs, caller_tag: int) -> int:
+    def _push(self, opcode: int, args: SqeArgs, caller_tag) -> int:
         """prep_and_submit after its room check (in the same SQ batch, so
         the produce cannot find the ring full), without the doorbell."""
         addr = args.addr
@@ -164,7 +166,8 @@ class RingHandle:
         completion to deliver(); -> events used. A round of junk (a full drop
         budget) is an event too, so a flooded ring drains across calls. The
         drain stops once the batch's clamped occupancy reaches 0, so an
-        empty CQ with no held front costs the one tail load."""
+        empty CQ with no held front costs the one tail load. `backlog` says
+        if the batch left a completion or a held front (no extra load)."""
         cq = self._cq
         cq.begin_consume()
         n = 0
@@ -178,6 +181,7 @@ class RingHandle:
                 elif cq.consumer_occupancy() == 0:
                     break
                 n += 1  # a drop-budget round of junk is still an event
+            self.backlog = bool(self._front or cq.consumer_occupancy())
         finally:
             cq.end_consume()
         return n
@@ -199,11 +203,15 @@ class RingHandle:
         by tag instead (retire_tag)."""
         self._table.pop(receipt, None)
 
-    def retire_tag(self, tag: int) -> None:
-        for internal in [i for i, rec in self._table.items() if rec.tag == tag]:
-            del self._table[internal]
-        if self._parked:
-            self._parked = deque(p for p in self._parked if p[2] != tag)
+    def retire_tag(self, tag, published: bool = True) -> bool:
+        """Forget a tag whose caller gave up: drop its parked submissions
+        and, if `published`, its published records, so that a late
+        completion is dropped as unknown. -> whether one was parked."""
+        if published:
+            self._table = {i: r for i, r in self._table.items() if r.tag != tag}
+        parked = len(self._parked)
+        self._parked = deque(p for p in self._parked if p[2] != tag)
+        return len(self._parked) < parked
 
     # --- address translation ---
 
@@ -246,7 +254,7 @@ class RingHandle:
         region_id = self._region_counter
         raw = self.pool.create()
         args = SqeArgs(fd=0, addr=0, len=rsize, off=region_id, translate=False)
-        self.prep_and_submit(ringmod.OP_ENCLAVE_MMAP, args, raw.tag)
+        self.prep_and_submit(ringmod.OP_ENCLAVE_MMAP, args, raw)
         return self.pool.then(raw, lambda proxy_base: self._attach_block(
             rsize, region_id, proxy_base))
 

@@ -1,11 +1,12 @@
 """Bounded promise pool and the async IO composition helpers.
 
-Promises here are deliberately austere: a one-argument callback, successor
-links, and a state that moves from pending to exactly one of
-fulfilled/failed. The pool caps outstanding promises and bounds continuation
-work per settle call; anything past the budget waits for the next event-loop
-pump. Host silence never fails a promise; it just stays pending while the
-event loop keeps meeting its period.
+Promises here are deliberately austere: a state that moves from pending to
+exactly one of fulfilled/failed, and the continuations queued for when it
+does: `then` children with a one-argument callback, and staged calls, each an
+operation record that is its caller's promise. The pool caps outstanding
+promises and bounds continuation work per settle call; the rest waits for the
+next event-loop pump. Host silence never fails a promise; it just stays
+pending while the event loop keeps meeting its period.
 """
 from __future__ import annotations
 
@@ -22,19 +23,33 @@ FAILED = "failed"
 
 
 class Promise:
-    __slots__ = ("tag", "state", "value", "error", "callback", "_succ",
-                 "_adopters", "_parent", "_on_fail")
+    __slots__ = ("state", "value", "error", "_succ")
 
-    def __init__(self, tag: int):
-        self.tag = tag
+    def __init__(self):
         self.state = PENDING
         self.value = None
         self.error = None
-        self.callback: Callable | None = None
-        self._succ: list["Promise"] = []
-        self._adopters: list["Promise"] = []
-        self._parent: "Promise | None" = None
-        self._on_fail: Callable | None = None
+        self._succ: list = []  # continuations queued when it settles
+
+
+class _Then(Promise):
+    """A promise settled by callback(parent.value) once parent settles."""
+
+    __slots__ = ("parent", "callback", "on_fail")
+
+    def _resume(self, pool: "PromisePool") -> None:
+        parent = self.parent
+        if self.state != PENDING:
+            return
+        if parent.state == FAILED:
+            if self.on_fail is not None:
+                self.on_fail(parent.error)
+            return pool._settle(self, FAILED, None, parent.error)
+        try:
+            result = self.callback(parent.value)
+        except Exception as exc:  # callback faults become failures
+            return pool._settle(self, FAILED, None, exc)
+        pool._settle(self, FULFILLED, result, None)
 
 
 def poll(p: Promise) -> str:
@@ -50,20 +65,15 @@ class PromisePool:
         self.continuation_budget = continuation_budget
         self.outstanding = 0
         self.stray_completions = 0
-        self._next_tag = 1
-        self._by_tag: dict[int, Promise] = {}
-        self._ready: deque = deque()
+        self._ready: deque = deque()  # continuations, each run by _resume
 
     # --- allocation ---
 
-    def create(self) -> Promise:
+    def create(self, kind: type = Promise) -> Promise:
         if self.outstanding >= self.max_outstanding:
             raise PoolExhausted(f"{self.outstanding} promises outstanding")
-        p = Promise(self._next_tag)
-        self._next_tag += 1
         self.outstanding += 1
-        self._by_tag[p.tag] = p
-        return p
+        return kind()
 
     def fulfilled(self, value) -> Promise:
         p = self.create()
@@ -72,40 +82,27 @@ class PromisePool:
 
     def then(self, parent: Promise, callback: Callable,
              on_fail: Callable | None = None) -> Promise:
-        """Chain a continuation after parent; returns the successor promise.
-
-        On parent fulfillment: callback(parent.value); a returned promise is
-        adopted (the successor settles when it does). On parent failure the
-        failure propagates without running callback (on_fail(error), if
-        given, observes the error first, for cleanup).
-        """
-        child = self.create()
-        child.callback = callback
-        child._parent = parent
-        if on_fail is not None:
-            child._on_fail = on_fail
-        if parent.state == PENDING:
-            parent._succ.append(child)
-        else:
-            self._ready.append(child)
+        """Successor of parent, settled with callback(parent.value); a parent
+        failure propagates, seen first by on_fail(error) when given."""
+        child = self.create(_Then)
+        child.parent, child.callback, child.on_fail = parent, callback, on_fail
+        self._after(parent, child)
         return child
+
+    def _after(self, p: Promise, continuation) -> None:
+        (p._succ if p.state == PENDING else self._ready).append(continuation)
 
     # --- settling ---
 
     def _settle(self, p: Promise, state: str, value, error) -> None:
         if p.state != PENDING:
-            raise AssertionError(f"promise {p.tag} settled twice")
+            raise AssertionError("promise settled twice")
         p.state = state
         p.value = value
         p.error = error
         self.outstanding -= 1
-        self._by_tag.pop(p.tag, None)
-        for child in p._succ:
-            self._ready.append(child)
-        for adopter in p._adopters:
-            self._ready.append(("adopt", adopter, p))
+        self._ready.extend(p._succ)
         p._succ = []
-        p._adopters = []
 
     def fulfill(self, p: Promise, value) -> None:
         self._settle(p, FULFILLED, value, None)
@@ -116,21 +113,25 @@ class PromisePool:
         self._drain(self.continuation_budget)
 
     def abandon(self, p: Promise) -> None:
-        """Forget a pending promise (timeout path). The slot is released and
-        any late completion for its tag is dropped as stray."""
-        if p.state == PENDING and p.tag in self._by_tag:
-            del self._by_tag[p.tag]
+        """Forget a pending promise (timeout path). The slot is released,
+        its continuations never run, and a late completion is a stray."""
+        if p.state == PENDING:
             self.outstanding -= 1
             p.state = FAILED
             p.error = "abandoned"
+            p._succ = []
 
     def settle_from_cqe(self, completion) -> bool:
-        """Route a delivered completion to its promise by caller tag.
-
-        Negative results settle the promise as failed with the errno value.
-        """
-        p = self._by_tag.get(completion.tag)
-        if p is None or p.state != PENDING:
+        """Settle the promise a delivered completion was submitted with (its
+        caller tag). A staged call finishes as a continuation; any other
+        settles now, a negative result as a failure with the errno value."""
+        p = completion.tag
+        if isinstance(p, _StagedOp):
+            p.result = completion.result
+            self._ready.append(p)
+            self._drain(self.continuation_budget)
+            return True
+        if p.state != PENDING:
             self.stray_completions += 1
             return False
         if completion.result < 0:
@@ -146,81 +147,78 @@ class PromisePool:
 
     def _drain(self, budget: int) -> int:
         ran = 0
-        while self._ready and ran < budget:
-            item = self._ready.popleft()
-            if isinstance(item, tuple):
-                _, adopter, inner = item
-                self._settle_like(adopter, inner)
-                continue  # adoption is bookkeeping, not a continuation
+        ready = self._ready
+        while ready and ran < budget:
             ran += 1
-            self._run_child(item)
+            ready.popleft()._resume(self)
         return ran
 
     @property
     def deferred_count(self) -> int:
         return len(self._ready)
 
-    def _settle_like(self, target: Promise, source: Promise) -> None:
-        if target.state != PENDING:
-            return
-        if source.state == FULFILLED:
-            self._settle(target, FULFILLED, source.value, None)
-        else:
-            self._settle(target, FAILED, None, source.error)
-
-    def _run_child(self, child: Promise) -> None:
-        parent = child._parent
-        child._parent = None
-        if child.state != PENDING:
-            return
-        if parent.state == FAILED:
-            if child._on_fail is not None:
-                child._on_fail(parent.error)
-            self._settle(child, FAILED, None, parent.error)
-            return
-        try:
-            result = child.callback(parent.value)
-        except Exception as exc:  # callback faults become failures
-            self._settle(child, FAILED, None, exc)
-            return
-        if isinstance(result, Promise):
-            if result.state == PENDING:
-                result._adopters.append(child)
-            else:
-                self._settle_like(child, result)
-        else:
-            self._settle(child, FULFILLED, result, None)
-
 
 # --- async IO composition over a runtime (handle + pools) ---
 
+class _StagedOp(Promise):
+    """One staged call's operation record and the promise its caller sees,
+    carried by its correlation record as caller tag. Staging (the arena
+    request settled) and finishing (the completion landed) are one
+    continuation each; finishing frees the arena."""
+
+    __slots__ = ("rt", "opcode", "args", "payload", "finish", "request",
+                 "arena", "result")
+
+    def _resume(self, pool: PromisePool) -> None:
+        if self.arena is None:  # the arena request settled
+            req = self.request
+            if req.state == FAILED:
+                if self.state == PENDING:
+                    pool._settle(self, FAILED, None, req.error)
+            elif self.state != PENDING:  # the caller gave up meanwhile
+                self.rt.arena_pool.free_arena(req.value)
+            else:
+                self.arena = arena = req.value
+                if self.payload is not None:
+                    arena.write(0, self.payload)
+                self.args.addr = arena.addr_of(0)
+                self.rt.submit_async(self.opcode, self.args, self)
+            return
+        if self.state == PENDING:  # else the caller gave up: deliver nothing
+            if self.result < 0:
+                pool._settle(self, FAILED, None, -self.result)
+            else:
+                pool._settle(self, FULFILLED,
+                             self.finish(self.arena, self.result), None)
+        self.rt.arena_pool.free_arena(self.arena)
+
+
 def _staged_op(rt, opcode: int, size: int, fd: int = 0, off: int = 0,
-               payload: bytes | None = None, finish: Callable | None = None
-               ) -> Promise:
-    """Shared staging arena -> submission -> completion result.
+               payload: bytes | None = None,
+               finish: Callable = lambda _arena, result: result) -> Promise:
+    """Promise of one call staged through an arena, which holds `size` bytes
+    at offset 0, the submitted address; `payload`, when given, is copied in
+    before submitting. finish(arena, result) gives the promise value."""
+    request = rt.arena_pool.request_arena(max(size, 1))
+    op = rt.pool.create(_StagedOp)
+    op.rt, op.opcode, op.payload, op.finish = rt, opcode, payload, finish
+    op.args = SqeArgs(fd=fd, len=size, off=off)
+    op.request, op.arena = request, None
+    rt.pool._after(request, op)
+    return op
 
-    The arena holds `size` bytes at offset 0, the submitted address;
-    `payload`, when given, is copied in before submitting. On completion
-    finish(arena, result) gives the promise value (default: the result), and
-    the arena is freed when the completion (or failure) lands.
-    """
-    pool = rt.pool
 
-    def _stage(arena):
-        if payload is not None:
-            arena.write(0, payload)
-        p_res = rt.submit_async(opcode, SqeArgs(
-            fd=fd, addr=arena.addr_of(0), len=size, off=off))
-
-        def _done(result):
-            value = result if finish is None else finish(arena, result)
-            rt.arena_pool.free_arena(arena)
-            return value
-
-        return pool.then(p_res, _done,
-                         on_fail=lambda _e: rt.arena_pool.free_arena(arena))
-
-    return pool.then(rt.arena_pool.request_arena(max(size, 1)), _stage)
+def abandon(rt, p: Promise) -> None:
+    """Give up on a pending call (timeout path): release its promise slot and
+    retire its tag. A staged call's arena is freed at once if the call never
+    reached the ring, else by its late completion (the host owns it)."""
+    staged = isinstance(p, _StagedOp)
+    parked = rt.handle.retire_tag(p, published=not staged)
+    rt.pool.abandon(p)
+    if staged and p.arena is None:
+        rt.arena_pool.cancel_request(p.request)
+    elif staged and parked:
+        rt.arena_pool.free_arena(p.arena)
 
 
 def async_write(rt, fd: int, data: bytes, off: int = 0) -> Promise:

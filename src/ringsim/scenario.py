@@ -23,13 +23,14 @@ import json
 import random
 
 from . import ring as ringmod
-from .config import SimConfig, step_bounds
-from .enclave import SqeArgs
+from .config import INIT_SHM_ENV, SimConfig, step_bounds
+from .enclave import SqeArgs, TranslationEntry
 from .errors import EmptyConsume, Untranslatable
-from .host import AdversaryPolicy, _fill_bytes
-from .promise import async_open, async_read
+from .host import AdversaryPolicy
+from .promise import async_open, async_read, async_write
 from .ring import Cqe
 from .shim import PosixShim, sync_call
+from .shm import NORMAL
 from .sim import Simulation
 
 FALLBACK = b"HOST-FAULT"
@@ -175,18 +176,12 @@ def _build_game_sim(sc: dict, policy: AdversaryPolicy):
     tau = int(sc["game"].get("timeout_periods", 3)) * period
     fallback_at = (horizon * 3) // 5
     msg_path = sc["game"]["message"]
-    msize = None
-    for line in sc["vfs"].splitlines():
-        parts = line.split()
-        if parts and parts[0] == msg_path:
-            msize = int(parts[1])
-    if msize is None:
+    if msg_path not in sim.vfs.files:
         raise ValueError(f"message {msg_path} not in the vfs manifest")
-    expected = bytes(_fill_bytes(msg_path, msize))
+    expected = bytes(sim.vfs.files[msg_path].data)
     sim.add_host_task(period=period, budget=period - budget, priority=0)
     env = {}
     if task.get("init_shm"):
-        from .config import INIT_SHM_ENV
         env[INIT_SHM_ENV] = task["init_shm"]
     rt = sim.spawn_enclave("victim", period, budget,
                            _victim_factory(msg_path, expected, tau,
@@ -405,7 +400,6 @@ def run_bench(mode: str, seed: int = 7) -> dict:
                 if pipelined:
                     r = yield from shim.write(fd, chunk)
                 else:
-                    from .promise import async_write
                     r = yield from sync_call(
                         rt, async_write(rt, fd, chunk, i * _BENCH_CHUNK), None)
                 assert r == _BENCH_CHUNK, f"bench write failed: {r}"
@@ -425,7 +419,6 @@ def run_bench(mode: str, seed: int = 7) -> dict:
 
         return body()
 
-    from .config import INIT_SHM_ENV
     sim.spawn_enclave("bench", 200_000, 100_000, factory,
                       env={INIT_SHM_ENV: "262144"}, priority=5)
     sim.run_until(200_000_000)
@@ -485,13 +478,11 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
         sq_win, cq_win = sim.host.scribble_targets[:2]
 
         # one honestly granted shared block for translated submission traffic
-        from .shm import NORMAL
         pages = sim.authority.alloc_pages(4, "proxy", NORMAL, "shm")
         rid = 900_001
         sim.authority.register_shared(pages, rid, 4 * 4096)
         pm = sim.authority.map_region(sim.host.proxy_space, rid)
         enclave_base = sim.kernel.attach_shared(handle._space, rid, 4 * 4096)
-        from .enclave import TranslationEntry
         handle.insert_translation(TranslationEntry(enclave_base, pm.base, 4 * 4096))
 
         mon = sim.authority.monitor

@@ -93,6 +93,7 @@ class BudgetScheduler:
         self.on_replenish: Callable | None = None
         self.util = Fraction(0)
         self._boundary: int | None = None  # min next_replenish of live tasks
+        self.resumes = 0  # body resumes so far; the count names the current one
 
     # --- admission ---
 
@@ -174,6 +175,7 @@ class BudgetScheduler:
             else:
                 value = self.now if t.started else None
             t.started = True
+            self.resumes += 1
             try:
                 cmd = t.gen.send(value)
             except StopIteration:

@@ -10,11 +10,11 @@ otherwise. Results, timings and traces equal those of a loop that pumps
 every tick. The layer converts the three ways a wait can end into errno
 conventions: negative errno for host refusals, -ETIMEDOUT when the caller's
 deadline passes, -EINTR when an alarm fires first, -EAGAIN for a zero-timeout
-probe that would block. A call that gives up abandons its promise and
-retires the records carrying that promise's tag, which drops a direct
-submission's straggler (getpid). A staged call's record carries the inner
-submission's tag, so it stays: a late completion still frees the arena, and
-a missing one holds record, promises and arena for good (ROADMAP item 1).
+probe that would block. A call that gives up releases its promise at once
+(promise.abandon): a direct submission's straggler (getpid) is dropped, and
+a staged call's arena is freed, at once if the call never reached the ring,
+else by its late completion; one that never comes holds a record, within
+the correlation table's cap, and that arena.
 
 The file facade stages writes privately and submits block-multiple chunks at
 tracked offsets with one write in flight per file; write errors surface on a
@@ -30,7 +30,7 @@ from . import ring as ringmod
 from .config import EAGAIN, EBADF, EFAULT, EINTR, EIO, ENOMEM, ETIMEDOUT
 from .enclave import SqeArgs
 from .errors import PoolExhausted, RegistrationRejected, Untranslatable
-from .promise import (FAILED, FULFILLED, async_open, async_path_op,
+from .promise import (FULFILLED, PENDING, abandon, async_open, async_path_op,
                       async_read, async_statx, async_write)
 
 
@@ -64,35 +64,27 @@ def sync_call(rt, promise, timeout_ns: int | None = None,
     once and returns -EAGAIN when still pending, leaving the call running.
     """
     rt.pump()
-    if promise.state == FULFILLED:
-        return promise.value
-    if promise.state == FAILED:
-        return _fail_value(promise.error)
-    if timeout_ns == 0:
+    if timeout_ns == 0 and promise.state == PENDING:
         return -EAGAIN
     deadline = None if timeout_ns is None else rt.now() + timeout_ns
     until = deadline
     if alarm_at is not None and (until is None or alarm_at < until):
         until = alarm_at
-    while True:
+    while promise.state == PENDING:
         yield from rt.poll_wait(until)
         rt.pump()
-        if promise.state == FULFILLED:
-            return promise.value
-        if promise.state == FAILED:
-            return _fail_value(promise.error)
         now = rt.now()
+        if promise.state != PENDING:
+            break
         if alarm_at is not None and now >= alarm_at:
-            _abandon(rt, promise)
+            abandon(rt, promise)
             return -EINTR
         if deadline is not None and now >= deadline:
-            _abandon(rt, promise)
+            abandon(rt, promise)
             return -ETIMEDOUT
-
-
-def _abandon(rt, promise) -> None:
-    rt.handle.retire_tag(promise.tag)
-    rt.pool.abandon(promise)
+    if promise.state == FULFILLED:
+        return promise.value
+    return _fail_value(promise.error)
 
 
 def getpid(rt, timeout_ns: int | None = None):

@@ -104,14 +104,15 @@ class EnclaveRuntime:
         self.device = device
         self._sched = sched
         self.detections = 0  # app-level integrity check failures
+        self._pumped_in = -1  # scheduler resume in which the last reap ran
 
     def now(self) -> int:
         return self._sched.now
 
-    def submit_async(self, opcode: int, args):
-        """Queue one submission; promise of its completion result."""
-        p = self.pool.create()
-        self.handle.prep_and_submit(opcode, args, p.tag)
+    def submit_async(self, opcode: int, args, op=None):
+        """Queue one submission; promise of its result (a staged call's op)."""
+        p = self.pool.create() if op is None else op
+        self.handle.prep_and_submit(opcode, args, p)
         return p
 
     def pump(self, max_events: int | None = None) -> int:
@@ -121,6 +122,7 @@ class EnclaveRuntime:
         self.handle.pump_parked()
         budget = self.cfg.max_events if max_events is None else max_events
         n = self.handle.reap(budget, self.pool.settle_from_cqe)
+        self._pumped_in = self._sched.resumes
         self.pool.run_deferred()
         return n
 
@@ -133,10 +135,14 @@ class EnclaveRuntime:
         the scheduler burns ticks without resuming the body, up to the first
         tick end at or after `until` or the next deschedule. Otherwise this
         is one plain tick, as in a busy-poll loop. Returns the ticks burned.
+        The backlog is the one a pump in this same resume of the body left:
+        with no yield since, nothing else has run.
         """
         tick = self.cfg.poll_tick
         h = self.handle
-        if self.pool.deferred_count or h.parked_count or h.cq_backlog():
+        if self.pool.deferred_count or h.parked_count or (
+                h.backlog if self._pumped_in == self._sched.resumes
+                else h.cq_backlog()):
             yield ("compute", tick)
             return 1
         return (yield ("wait", tick, until))

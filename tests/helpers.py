@@ -7,7 +7,8 @@ event-driven implementation has something slow-but-obviously-right to match.
 from __future__ import annotations
 
 from ringsim.config import PAGE_SIZE, SimConfig
-from ringsim.enclave import RingHandle, SharedBlock, TranslationEntry
+from ringsim.enclave import (Completion, RingHandle, SharedBlock,
+                             TranslationEntry)
 from ringsim.promise import PromisePool
 from ringsim.ring import (CQE_SIZE, SQE_SIZE, cq_ring_attach, cq_ring_init,
                           ring_region_bytes, sq_ring_attach, sq_ring_init)
@@ -106,8 +107,8 @@ class FakeHandle:
 
 
 class FakeRT:
-    """Duck-typed runtime for promise-layer tests: records submissions and
-    lets the test fulfil them by hand."""
+    """Duck-typed runtime for promise-layer tests: records submissions as
+    (opcode, args, promise) and lets the test complete them by hand."""
 
     def __init__(self):
         self.pool = PromisePool()
@@ -115,10 +116,15 @@ class FakeRT:
         self.cfg = SimConfig()
         self._now = 0
 
-    def submit_async(self, opcode, args):
-        p = self.pool.create()
+    def submit_async(self, opcode, args, op=None):
+        p = self.pool.create() if op is None else op
         self.submitted.append((opcode, args, p))
         return p
+
+    def complete(self, index: int, result: int) -> None:
+        """Deliver the index-th submission's completion, as pump() would."""
+        opcode, _, p = self.submitted[index]
+        self.pool.settle_from_cqe(Completion(p, result, 0, index, opcode))
 
     def pump(self, max_events=None):
         self.pool.run_deferred()

@@ -115,17 +115,6 @@ def test_linear_chain_budget():
     assert ran == list(range(10))
 
 
-def test_adoption_settles_like_inner():
-    pool = PromisePool()
-    inner = pool.create()
-    root = pool.create()
-    child = pool.then(root, lambda v: inner)  # callback returns a promise
-    pool.fulfill(root, 0)
-    assert child.state == PENDING                # waits for the adopted one
-    pool.fulfill(inner, 77)
-    assert child.state == FULFILLED and child.value == 77
-
-
 class _C:
     def __init__(self, tag, result):
         self.tag = tag
@@ -135,13 +124,15 @@ class _C:
 def test_settle_from_cqe():
     pool = PromisePool()
     p = pool.create()
-    assert pool.settle_from_cqe(_C(p.tag, 5))
+    assert pool.settle_from_cqe(_C(p, 5))  # the tag is the promise
     assert p.state == FULFILLED and p.value == 5
     q = pool.create()
-    assert pool.settle_from_cqe(_C(q.tag, -110))
+    assert pool.settle_from_cqe(_C(q, -110))
     assert q.state == FAILED and q.error == 110  # negative result -> errno
-    assert not pool.settle_from_cqe(_C(9999, 0))
-    assert not pool.settle_from_cqe(_C(p.tag, 0))  # already settled
+    r = pool.create()
+    pool.abandon(r)
+    assert not pool.settle_from_cqe(_C(r, 0))   # abandoned
+    assert not pool.settle_from_cqe(_C(p, 0))   # already settled
     assert pool.stray_completions == 2
 
 
@@ -167,9 +158,10 @@ def test_write_stages_submits_and_frees():
     p = async_write(rt, 3, b"hello", off=7)
     fh.grant()                            # host grants the arena block
     assert len(rt.submitted) == 1
-    opcode, args, inner = rt.submitted[0]
+    opcode, args, submitted = rt.submitted[0]
     assert args.len == 5 and args.off == 7
-    rt.pool.fulfill(inner, 5)
+    assert submitted is p                 # one promise: the caller's
+    rt.complete(0, 5)
     assert p.state == FULFILLED and p.value == 5
     received, in_bins, live = rt.arena_pool.accounting()
     assert live == 0                      # arena freed on completion
@@ -179,8 +171,7 @@ def test_read_clamps_hostile_length():
     rt, fh = _rt_with_arena()
     p = async_read(rt, 3, 64)
     fh.grant()
-    _, args, inner = rt.submitted[0]
-    rt.pool.fulfill(inner, 100_000)       # host claims an absurd byte count
+    rt.complete(0, 100_000)               # host claims an absurd byte count
     assert p.state == FULFILLED
     assert len(p.value) == 64             # clamped to the arena window
 
@@ -197,7 +188,6 @@ def test_failed_write_frees_arena():
     rt, fh = _rt_with_arena()
     p = async_write(rt, 3, b"data")
     fh.grant()
-    _, _, inner = rt.submitted[0]
-    rt.pool.fail(inner, 28)
+    rt.complete(0, -28)
     assert p.state == FAILED and p.error == 28
     assert rt.arena_pool.accounting()[2] == 0

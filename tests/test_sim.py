@@ -8,7 +8,7 @@ from ringsim.errors import RegistrationRejected, Untranslatable
 from ringsim.host import AdversaryPolicy
 from ringsim.promise import (FAILED, FULFILLED, PENDING, PromisePool,
                              async_open, async_read, poll)
-from ringsim.ring import Ring
+from ringsim.ring import Cqe, Ring
 from ringsim.shim import sync_call
 
 from helpers import app_sim, spawn_app
@@ -313,3 +313,23 @@ def test_idle_pump_costs_one_tail_load_and_a_drain_peeks_once_per_entry(
     assert out["idle"] == (0, 1, 0, 0)
     assert out["drain"] == (k, k)
     assert out["states"] == [FULFILLED] * k
+
+
+def test_poll_wait_loads_the_backlog_again_after_a_yield():
+    # poll_wait reuses the backlog of a pump in the same body resume only:
+    # here the last pump ran from outside, at the very instant the body
+    # resumes, and a completion came in after it
+    sim = app_sim()
+
+    def body(rt, out):
+        out["p"] = rt.submit_async(ringmod.OP_GETPID, SqeArgs())
+        yield ("compute", 50_000)  # the whole budget: resumes at 100 us
+        out["ticks"] = yield from rt.poll_wait(None)
+
+    rt, out = spawn_app(sim, body, period=100_000, budget=50_000)
+    sim.run_until(100_000)
+    rt.pump()
+    assert out["p"].state == FULFILLED and rt.handle.cq_backlog() == 0
+    sim.host.rings["app"][1].produce(Cqe(1 << 63, 0, 0))
+    sim.run_until(200_000)
+    assert out["ticks"] == 1  # one busy-poll tick: there is news to drain
