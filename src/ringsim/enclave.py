@@ -166,8 +166,8 @@ class RingHandle:
         completion to deliver(); -> events used. A round of junk (a full drop
         budget) is an event too, so a flooded ring drains across calls. The
         drain stops once the batch's clamped occupancy reaches 0, so an
-        empty CQ with no held front costs the one tail load. `backlog` says
-        if the batch left a completion or a held front (no extra load)."""
+        empty CQ with no held front costs the one tail load. `backlog`: did
+        a drain that used its budget leave a completion or a held front."""
         cq = self._cq
         cq.begin_consume()
         n = 0
@@ -181,7 +181,7 @@ class RingHandle:
                 elif cq.consumer_occupancy() == 0:
                     break
                 n += 1  # a drop-budget round of junk is still an event
-            self.backlog = bool(self._front or cq.consumer_occupancy())
+            self.backlog = n >= budget and bool(self._front or cq.consumer_occupancy())
         finally:
             cq.end_consume()
         return n
