@@ -35,6 +35,10 @@ class RegionIdBusy(RegistrationError):
     """Region id already bound to a live registration."""
 
 
+class NotOneRun(RegistrationError):
+    """The pages are not one in-order run of one allocation's live pages."""
+
+
 class NotValidated(RingSimError):
     """Mapping attempted in the wrong registration state."""
 

@@ -1,12 +1,16 @@
 """Simulated physical memory, address spaces, and the trusted grant authority.
 
 Physical memory is fixed-size pages indexed by integer page id. Each
-allocation is one extent, a buffer holding its pages end to end, and a
-page's bytes are a view into its extent. Address spaces are pure translation
-layers from 64-bit virtual addresses onto pages. The authority owns the page
-allocation table, enforces per-party page quotas, validates every
-host-offered shared grant before it can be mapped, and models the bus-level
-world filter: a normal-world access can never reach a trusted-world page.
+allocation is one extent, a buffer holding its pages end to end. A mapping,
+private or shared, must name one in-order run of one allocation's pages, as
+an io_uring registered buffer is one contiguous range pinned once; so every
+access through a window is one range of one extent. Freeing any page of an
+allocation ends access through every window on it. Address spaces are pure
+translation layers from 64-bit virtual addresses onto pages. The authority
+owns the page allocation table, enforces per-party page quotas, validates
+every host-offered shared grant before it can be mapped, and models the
+bus-level world filter: a normal-world access can never reach a
+trusted-world page.
 
 Nothing an untrusted party writes into page contents can change any structure
 in this module; all metadata lives in private Python objects on the trusted
@@ -22,6 +26,7 @@ from .config import PAGE_SIZE
 from .errors import (
     BusFault,
     DuplicatePage,
+    NotOneRun,
     NotValidated,
     OutOfMemory,
     OverlapWithPrivate,
@@ -59,14 +64,16 @@ class SharedRegistration:
 
 
 class Extent:
-    """The bytes of one allocation's pages, end to end. Broken once any of
-    its pages is freed: its offsets then no longer name live pages."""
+    """The bytes of one allocation's pages, end to end; every mapping and
+    window is one range of one extent. Broken once any of its pages is
+    freed: its offsets then no longer name live pages, and every window on
+    it faults."""
 
     __slots__ = ("buf", "page_ids", "broken")
 
-    def __init__(self, npages: int):
-        self.buf = memoryview(bytearray(npages * PAGE_SIZE))
-        self.page_ids: tuple[int, ...] = ()  # in buffer order
+    def __init__(self, page_ids: tuple[int, ...]):
+        self.buf = memoryview(bytearray(len(page_ids) * PAGE_SIZE))
+        self.page_ids = page_ids  # in buffer order
         self.broken = False
 
 
@@ -77,10 +84,10 @@ class Mapping:
     page_ids: tuple[int, ...]
     perms: str
     pages_world: str
-    region_id: int | None = None
-    # the extent holding page_ids as one run from byte extent_off, if any
-    extent: Extent | None = field(default=None, repr=False, compare=False)
-    extent_off: int = 0
+    region_id: int | None
+    # the extent holding page_ids as one run from byte extent_off
+    extent: Extent = field(repr=False, compare=False)
+    extent_off: int
 
 
 class AccessMonitor:
@@ -158,112 +165,79 @@ class PageAllocTable:
 class MemoryWindow:
     """Bounds-checked byte view over one mapped virtual range.
 
-    Every access goes through read/write (byte strings) or unpack/pack
-    (fixed-size `struct.Struct` records), so the monitor sees each one. An
-    access that lies inside one page is served in place from that page;
-    one that crosses a page edge is one slice copy when the mapping's pages
-    are one run of an unbroken extent (the flat path), else page by page.
-    Slices never escape: read() returns copies (snapshots). Freeing a page
-    breaks its extent, so an access to a freed page fails.
+    A mapping's pages are one in-order run of one allocation, so a window
+    is one range of that allocation's extent. Every access goes through
+    read/write (byte strings) or unpack/pack (fixed-size `struct.Struct`
+    records): one bounds check, one monitor call when armed, and one slice
+    or `struct` call, so the monitor sees each one. read() returns copies
+    (snapshots), never live views. Freeing any page of the allocation
+    breaks its extent, and every access through every window on it then
+    raises BusFault.
     """
 
-    __slots__ = ("_phys", "_space", "base", "length", "_page_ids", "_skew",
-                 "_monitor", "_extent", "_extent_off")
+    __slots__ = ("_space", "base", "length", "_monitor", "_extent", "_pos")
 
-    def __init__(self, phys: dict[int, memoryview], space: "AddressSpace",
-                 base: int, length: int, page_ids: tuple[int, ...], skew: int,
-                 monitor: AccessMonitor, extent: Extent | None,
-                 extent_off: int):
-        self._phys = phys
+    def __init__(self, space: "AddressSpace", base: int, length: int,
+                 monitor: AccessMonitor, extent: Extent, pos: int):
         self._space = space
         self.base = base
         self.length = length
-        self._page_ids = page_ids
-        self._skew = skew  # offset of window start within its first page
         self._monitor = monitor
         self._extent = extent
-        self._extent_off = extent_off  # offset of window start in the extent
+        self._pos = pos  # offset of the window start in the extent
 
-    def _start(self, off: int, n: int) -> tuple[int, int]:
-        # bounds check; -> (page index, in-page offset) of the first byte
-        if off < 0 or n < 0 or off + n > self.length:
-            raise BusFault(f"window access [{off},{off + n}) outside length {self.length}")
-        idx, inner = divmod(self._skew + off, PAGE_SIZE)
-        if idx == len(self._page_ids):  # zero-length access at a page-aligned end
-            return idx - 1, inner
-        return idx, inner
+    def _fault(self, off: int, n: int) -> BusFault:
+        if self._extent.broken:
+            return BusFault(f"window at {self.base:#x} over freed pages")
+        return BusFault(f"window access [{off},{off + n}) outside length {self.length}")
 
-    def _locate(self, off: int, n: int, idx: int, inner: int, mode: str) -> tuple[int, ...]:
-        # an access crossing a page edge: report it, -> the pages it touches
-        pids = self._page_ids[idx:idx + (inner + n - 1) // PAGE_SIZE + 1]
-        if self._monitor.armed:
-            self._monitor.on_access(self._space, self.base + off, n, mode, pids)
-        return pids
+    def _report(self, off: int, n: int, mode: str) -> None:
+        # the pages [off, off + n) touches; a zero-length access names the
+        # page holding off, or the window's last page when off is its end
+        pos = self._pos + off
+        first = (pos - 1 if n == 0 and off == self.length > 0 else pos) // PAGE_SIZE
+        last = max(first, (pos + n - 1) // PAGE_SIZE)
+        self._monitor.on_access(self._space, self.base + off, n, mode,
+                                self._extent.page_ids[first:last + 1])
 
     def read(self, off: int, n: int) -> bytes:
-        idx, inner = self._start(off, n)
-        if inner + n <= PAGE_SIZE:
-            pid = self._page_ids[idx]
-            if self._monitor.armed:
-                self._monitor.on_access(self._space, self.base + off, n, READ, (pid,))
-            return bytes(self._phys[pid][inner:inner + n])
-        pids = self._locate(off, n, idx, inner, READ)
         ext = self._extent
-        if ext is not None and not ext.broken:
-            pos = self._extent_off + off
-            return ext.buf[pos:pos + n].tobytes()
-        return b"".join([self._phys[pid] for pid in pids])[inner:inner + n]
+        if off < 0 or n < 0 or off + n > self.length or ext.broken:
+            raise self._fault(off, n)
+        if self._monitor.armed:
+            self._report(off, n, READ)
+        pos = self._pos + off
+        return ext.buf[pos:pos + n].tobytes()
 
     def write(self, off: int, data: bytes) -> None:
         n = len(data)
-        idx, inner = self._start(off, n)
-        if inner + n <= PAGE_SIZE:
-            pid = self._page_ids[idx]
-            if self._monitor.armed:
-                self._monitor.on_access(self._space, self.base + off, n, WRITE, (pid,))
-            self._phys[pid][inner:inner + n] = data
-            return
-        pids = self._locate(off, n, idx, inner, WRITE)
         ext = self._extent
-        if ext is not None and not ext.broken:
-            pos = self._extent_off + off
-            ext.buf[pos:pos + n] = data
-            return
-        data = memoryview(data)
-        pos = PAGE_SIZE - inner
-        self._phys[pids[0]][inner:] = data[:pos]
-        for pid in pids[1:]:
-            chunk = data[pos:pos + PAGE_SIZE]
-            self._phys[pid][:len(chunk)] = chunk
-            pos += PAGE_SIZE
+        if off < 0 or off + n > self.length or ext.broken:
+            raise self._fault(off, n)
+        if self._monitor.armed:
+            self._report(off, n, WRITE)
+        pos = self._pos + off
+        ext.buf[pos:pos + n] = data
 
     def unpack(self, st: struct.Struct, off: int) -> tuple:
-        """`st.unpack` of the record at `off`, in place if within one page."""
+        """`st.unpack` of the record at `off`, in place."""
         n = st.size
-        if off < 0 or off + n > self.length:
-            raise BusFault(f"window access [{off},{off + n}) outside length {self.length}")
-        pos = self._skew + off
-        inner = pos % PAGE_SIZE
-        if inner + n > PAGE_SIZE:
-            return st.unpack(self.read(off, n))
-        pid = self._page_ids[pos // PAGE_SIZE]
+        ext = self._extent
+        if off < 0 or off + n > self.length or ext.broken:
+            raise self._fault(off, n)
         if self._monitor.armed:
-            self._monitor.on_access(self._space, self.base + off, n, READ, (pid,))
-        return st.unpack_from(self._phys[pid], inner)
+            self._report(off, n, READ)
+        return st.unpack_from(ext.buf, self._pos + off)
 
     def pack(self, st: struct.Struct, off: int, *values) -> None:
-        """Store `st.pack(*values)` at `off`, in place if within one page."""
+        """Store `st.pack(*values)` at `off`, in place."""
         n = st.size
-        if off < 0 or off + n > self.length:
-            raise BusFault(f"window access [{off},{off + n}) outside length {self.length}")
-        pos = self._skew + off
-        inner = pos % PAGE_SIZE
-        if inner + n > PAGE_SIZE:
-            return self.write(off, st.pack(*values))
-        pid = self._page_ids[pos // PAGE_SIZE]
+        ext = self._extent
+        if off < 0 or off + n > self.length or ext.broken:
+            raise self._fault(off, n)
         if self._monitor.armed:
-            self._monitor.on_access(self._space, self.base + off, n, WRITE, (pid,))
-        st.pack_into(self._phys[pid], inner, *values)
+            self._report(off, n, WRITE)
+        st.pack_into(ext.buf, self._pos + off, *values)
 
 
 class AddressSpace:
@@ -322,13 +296,8 @@ class AddressSpace:
             raise BusFault(f"{self.owner}: mapping at {m.base:#x} lacks '{mode}'")
         if self.world == NORMAL and m.pages_world == TRUSTED:
             raise BusFault(f"{self.owner}: normal-world access to trusted pages")
-        off = vaddr - m.base
-        first = off // PAGE_SIZE
-        last = (off + max(length, 1) - 1) // PAGE_SIZE
-        return MemoryWindow(self._authority.phys, self, vaddr, length,
-                            m.page_ids[first:last + 1], off % PAGE_SIZE,
-                            self._authority.monitor, m.extent,
-                            m.extent_off + off)
+        return MemoryWindow(self, vaddr, length, self._authority.monitor,
+                            m.extent, m.extent_off + vaddr - m.base)
 
 
 class MemoryAuthority:
@@ -341,8 +310,7 @@ class MemoryAuthority:
 
     def __init__(self, total_pages: int = 65536):
         self.total_pages = total_pages
-        self.phys: dict[int, memoryview] = {}   # page -> view into its extent
-        self._extents: dict[int, Extent] = {}   # page -> its extent
+        self._extents: dict[int, Extent] = {}  # page -> its allocation's extent
         self.table = PageAllocTable()
         self.monitor = AccessMonitor(self.table)
         self.registrations: dict[int, SharedRegistration] = {}
@@ -359,19 +327,16 @@ class MemoryAuthority:
         if len(self.table.entries) + n > self.total_pages:
             raise OutOfMemory(f"pool of {self.total_pages} pages exhausted")
         self.table.charge(owner, n)
-        ext = Extent(n)
         ids = []
-        for k in range(n):
+        for _ in range(n):
             if self._free:
                 pid = self._free.pop()
             else:
                 pid = self._next_page
                 self._next_page += 1
-            self.phys[pid] = ext.buf[k * PAGE_SIZE:(k + 1) * PAGE_SIZE]
-            self._extents[pid] = ext
             self.table.entries[pid] = PageInfo(owner, world, purpose)
             ids.append(pid)
-        ext.page_ids = tuple(ids)
+        self._extents.update(dict.fromkeys(ids, Extent(tuple(ids))))
         return ids
 
     def free_pages(self, page_ids: list[int], owner: str) -> None:
@@ -381,21 +346,19 @@ class MemoryAuthority:
                 raise BusFault(f"free of page {pid} not owned by {owner}")
         for pid in sorted(page_ids, reverse=True):
             del self.table.entries[pid]
-            del self.phys[pid]
             self._extents.pop(pid).broken = True
             self._free.append(pid)
         self.table.credit(owner, len(page_ids))
 
-    def _run_of(self, page_ids) -> tuple[Extent | None, int]:
-        """(extent, byte offset) when page_ids are, in order, one run of
-        pages of a single extent; else (None, 0)."""
+    def _run_of(self, page_ids) -> tuple[Extent, int]:
+        """(extent, byte offset) of page_ids, which must be, in order, one
+        run of one allocation's live pages; else NotOneRun."""
         ext = self._extents.get(page_ids[0]) if page_ids else None
-        if ext is None:
-            return None, 0
-        k = ext.page_ids.index(page_ids[0])
-        if ext.page_ids[k:k + len(page_ids)] != tuple(page_ids):
-            return None, 0
-        return ext, k * PAGE_SIZE
+        if ext is not None:
+            k = ext.page_ids.index(page_ids[0])
+            if ext.page_ids[k:k + len(page_ids)] == tuple(page_ids):
+                return ext, k * PAGE_SIZE
+        raise NotOneRun("pages are not one in-order run of one allocation")
 
     # --- address spaces ---
 
@@ -406,17 +369,19 @@ class MemoryAuthority:
 
     def map_private(self, space: AddressSpace, page_ids: list[int],
                     base: int | None = None, perms: str = "rw") -> Mapping:
-        """Map pages a party already owns into its own space."""
+        """Map pages a party already owns into its own space: one in-order
+        run of one allocation, else NotOneRun."""
         worlds = {self.table.entries[p].world for p in page_ids}
         if len(worlds) != 1:
             raise BusFault("mixed-world mapping")
         world = worlds.pop()
         if world == TRUSTED and space.world == NORMAL:
             raise BusFault("trusted pages can never enter a normal-world space")
+        ext, off = self._run_of(page_ids)
         if base is None:
             base = space.fresh_base(len(page_ids) * PAGE_SIZE)
         m = Mapping(base, len(page_ids) * PAGE_SIZE, tuple(page_ids), perms, world,
-                    None, *self._run_of(page_ids))
+                    None, ext, off)
         space.add_mapping(m)
         return m
 
@@ -428,9 +393,12 @@ class MemoryAuthority:
 
         Accepts if and only if: the region id is unused, the page list has no
         duplicates, every page is a known normal-world page (disjoint from all
-        trusted-private and trusted-kernel memory), and page count times page
-        size equals the expected size. Rejection raises before any state is
-        touched, leaving the authority bit-identical.
+        trusted-private and trusted-kernel memory), page count times page
+        size equals the expected size, and the pages are one in-order run of
+        one allocation (checked last, so the earlier refusals keep their
+        names). Rejection raises before any state is touched, leaving the
+        authority bit-identical. Freeing any page of that allocation later
+        ends access through every window on the grant.
         """
         if region_id in self.registrations:
             raise RegionIdBusy(f"region {region_id} already registered")
@@ -449,6 +417,7 @@ class MemoryAuthority:
         if len(pages) * PAGE_SIZE != expected_size:
             raise SizeMismatch(
                 f"{len(pages)} pages != expected {expected_size} bytes")
+        self._run_of(pages)
         reg = SharedRegistration(region_id, tuple(pages), expected_size, VALIDATED)
         self.registrations[region_id] = reg
         return reg

@@ -132,21 +132,19 @@ class _RealPair:
         e = self.auth.create_space("encl", "trusted", 0x100000)
         p = self.auth.create_space("proxy", NORMAL, 0x10000)
         nbytes = ring_region_bytes(entries, 16)
-        self.we, self.wp, self.pages = dual_windows(self.auth, e, p, nbytes)
+        self.we, self.wp, _ = dual_windows(self.auth, e, p, nbytes)
         self.prod = cq_ring_init(self.we, entries)
         self.we.write(0, struct.pack("<II", start_index, start_index))
         self.prod._head = self.prod._tail = start_index
         self.cons = cq_ring_attach(self.wp, entries)
 
     def snapshot(self):
-        phys = tuple(bytes(self.auth.phys[pid]) for pid in self.pages)
-        return (phys,) + tuple((r._head, r._tail, r._held, r._mark)
+        return (self.wp.read(0, self.wp.length),) + tuple((r._head, r._tail, r._held, r._mark)
                                for r in (self.prod, self.cons))
 
     def restore(self, snap):
-        phys, *views = snap
-        for pid, blob in zip(self.pages, phys):
-            self.auth.phys[pid][:] = blob
+        blob, *views = snap
+        self.wp.write(0, blob)
         for r, (head, tail, held, mark) in zip((self.prod, self.cons), views):
             r._head, r._tail, r._held, r._mark = head, tail, held, mark
 

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringsim.config import PAGE_SIZE
-from ringsim.errors import (BusFault, DuplicatePage, NotValidated,
-                            OverlapWithPrivate, QuotaExceeded, RegionIdBusy,
-                            SizeMismatch, VirtualRangeBusy)
+from ringsim.errors import (BusFault, DuplicatePage, NotOneRun,
+                            NotValidated, OverlapWithPrivate, QuotaExceeded,
+                            RegionIdBusy, SizeMismatch, VirtualRangeBusy)
 from ringsim.shm import NORMAL, TRUSTED, MemoryAuthority, Mapping
 
 
@@ -24,7 +24,9 @@ def test_alloc_basics():
     assert len(auth.table.entries) == before + 1
     assert auth.table.entries[p0].owner == "proxy"
     assert auth.table.entries[p0].world == NORMAL
-    assert auth.phys[p0] == bytearray(PAGE_SIZE)
+    space = auth.create_space("proxy", NORMAL)
+    m = auth.map_private(space, [p0])
+    assert space.access(m.base, PAGE_SIZE).read(0, PAGE_SIZE) == bytes(PAGE_SIZE)
 
 
 def test_quota_boundary():
@@ -113,7 +115,20 @@ def test_register_region_id_busy():
         auth.register_shared(normal[1:2], 7, PAGE_SIZE)
 
 
-def _register_oracle(auth, used_ids, pages, region_id, expected_size):
+def test_register_not_one_run():
+    auth, normal, _ = _world_with_private()
+    other = auth.alloc_pages(2, "proxy", NORMAL)
+    digest = auth.state_digest()
+    for pages in ([normal[1], normal[0]], [normal[0], normal[2]],
+                  [normal[5], other[0]], []):
+        with pytest.raises(NotOneRun):
+            auth.register_shared(pages, 1, len(pages) * PAGE_SIZE)
+    assert auth.state_digest() == digest
+    assert auth.register_shared(normal[2:5], 1, 3 * PAGE_SIZE).pages == tuple(normal[2:5])
+
+
+def _register_oracle(auth, used_ids, pages, region_id, expected_size,
+                     allocations):
     """Reference checker mirroring the documented validation order."""
     if region_id in used_ids:
         return RegionIdBusy
@@ -125,6 +140,9 @@ def _register_oracle(auth, used_ids, pages, region_id, expected_size):
             return OverlapWithPrivate
     if len(pages) * PAGE_SIZE != expected_size:
         return SizeMismatch
+    if not any(pages == ids[i:i + len(pages)]
+               for ids in allocations for i in range(len(ids))):
+        return NotOneRun
     return None
 
 
@@ -134,17 +152,23 @@ def test_register_random_vs_oracle():
     normal = auth.alloc_pages(10, "proxy", NORMAL)
     trusted = auth.alloc_pages(3, "enclaveA", TRUSTED)
     used_ids: set[int] = set()
-    rejects = accepts = 0
+    accepts = 0
+    rejects: dict[type, int] = {}
     for i in range(600):
         k = rng.randrange(1, 5)
-        if rng.random() < 0.5:
-            pages = rng.sample(normal, k)  # well-formed candidate
+        roll = rng.random()
+        if roll < 0.4:
+            start = rng.randrange(len(normal) - k + 1)
+            pages = normal[start:start + k]  # well-formed candidate: a run
+        elif roll < 0.6:
+            pages = rng.sample(normal, k)  # scattered, unless a run by chance
         else:
             pool = normal + trusted + [777, 778]  # includes unknown page ids
             pages = [rng.choice(pool) for _ in range(k)]
         region_id = rng.randrange(1, 1000)
         size = rng.choice([k * PAGE_SIZE, (k + 1) * PAGE_SIZE, k * PAGE_SIZE - 1])
-        want = _register_oracle(auth, used_ids, pages, region_id, size)
+        want = _register_oracle(auth, used_ids, pages, region_id, size,
+                                (normal, trusted))
         digest = auth.state_digest()
         if want is None:
             reg = auth.register_shared(pages, region_id, size)
@@ -152,12 +176,14 @@ def test_register_random_vs_oracle():
             accepts += 1
             assert reg.state == "validated"
         else:
-            with pytest.raises(want):
+            with pytest.raises(want) as info:
                 auth.register_shared(pages, region_id, size)
-            rejects += 1
+            assert type(info.value) is want
+            rejects[want] = rejects.get(want, 0) + 1
             # rejection must be atomic: authority metadata bit-identical
             assert auth.state_digest() == digest
-    assert accepts > 20 and rejects > 100
+    assert accepts > 20 and sum(rejects.values()) > 100
+    assert rejects.get(NotOneRun, 0) > 10
 
 
 def test_register_rejection_writes_nothing():
@@ -169,6 +195,7 @@ def test_register_rejection_writes_nothing():
         ([normal[0], normal[0]], 2 * PAGE_SIZE, DuplicatePage),
         ([private[0]], PAGE_SIZE, OverlapWithPrivate),
         (normal[:2], PAGE_SIZE, SizeMismatch),
+        ([normal[1], normal[0]], 2 * PAGE_SIZE, NotOneRun),
     ]:
         with pytest.raises(exc):
             auth.register_shared(pages, 3, size)
@@ -328,28 +355,42 @@ def _window_op(draw, skew, length):
     return kind, off, arg
 
 
-# how the mapped pages were allocated and in which order they are mapped:
-# one allocation in order is the only layout served by the flat path
-LAYOUTS = ("allocated", "shuffled", "two allocations")
+# how the mapped run was allocated: a whole allocation, the middle of a
+# larger one, or a whole allocation of page ids reused out of order
+LAYOUTS = ("allocated", "inner run", "reused ids")
 
 
 def _layout_pages(auth, layout, rng):
-    if layout == "two allocations":
-        first = auth.alloc_pages(MAPPED_PAGES // 2, "proxy", NORMAL)
-        return first + auth.alloc_pages(MAPPED_PAGES - len(first), "proxy", NORMAL)
-    page_ids = auth.alloc_pages(MAPPED_PAGES, "proxy", NORMAL)
-    if layout == "shuffled":
-        rng.shuffle(page_ids)
-    return page_ids
+    if layout == "inner run":
+        return auth.alloc_pages(MAPPED_PAGES + 2, "proxy", NORMAL)[1:-1]
+    if layout == "reused ids":
+        old = auth.alloc_pages(MAPPED_PAGES, "proxy", NORMAL)
+        rng.shuffle(old)
+        for pid in old:
+            auth.free_pages([pid], "proxy")
+    return auth.alloc_pages(MAPPED_PAGES, "proxy", NORMAL)
+
+
+def _assert_refused(auth, space, page_ids, rng):
+    # a mapping must be one in-order run of one allocation: shuffled pages
+    # and pages of two allocations are refused and change nothing
+    shuffled = list(page_ids)
+    while shuffled == page_ids:
+        rng.shuffle(shuffled)
+    two = page_ids[:-1] + auth.alloc_pages(1, "proxy", NORMAL)
+    digest = auth.state_digest()
+    for pages in (shuffled, two):
+        with pytest.raises(NotOneRun):
+            auth.map_private(space, pages)
+    assert auth.state_digest() == digest and not space.mappings()
 
 
 @st.composite
 def _window_ops(draw):
     layout = draw(st.sampled_from(LAYOUTS))
-    # a mapped page freed and allocated again, before the mapping is made
-    # or once the window exists
-    refreed = draw(st.one_of(st.none(), st.tuples(
-        st.integers(0, MAPPED_PAGES - 1), st.sampled_from(["map", "window"]))))
+    # the index of a mapped page freed and allocated again once the window
+    # exists, after which every access through the window faults
+    freed = draw(st.one_of(st.none(), st.integers(0, MAPPED_PAGES - 1)))
     skew = draw(st.one_of(st.just(0), st.integers(0, PAGE_SIZE - 1)))
     length = draw(st.one_of(
         st.integers(0, MAPPED_PAGES * PAGE_SIZE - skew),
@@ -357,32 +398,28 @@ def _window_ops(draw):
         st.builds(lambda k: k * PAGE_SIZE - skew, st.integers(1, MAPPED_PAGES))))
     ops = draw(st.lists(_window_op(skew, length), min_size=8, max_size=16))
     ops += [("read", length, 0), ("write", length, 0)]  # zero-length at the end
-    return (layout, refreed, skew, length,
+    return (layout, freed, skew, length,
             random.Random(draw(st.integers(0, 2**32))), ops)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_window_ops())
 def test_window_matches_flat_model(case):
-    layout, refreed, skew, length, rng, ops = case
+    layout, freed, skew, length, rng, ops = case
     auth = MemoryAuthority()
     page_ids = _layout_pages(auth, layout, rng)
-    for pid in page_ids:
-        auth.phys[pid][:] = rng.randbytes(PAGE_SIZE)
-
-    def refree(before: str) -> None:
-        if refreed is not None and refreed[1] == before:
-            pid = page_ids[refreed[0]]
-            auth.free_pages([pid], "proxy")
-            assert auth.alloc_pages(1, "proxy", NORMAL) == [pid]
-            auth.phys[pid][:] = rng.randbytes(PAGE_SIZE)
-
     space = auth.create_space("proxy", NORMAL)
-    refree("map")
+    _assert_refused(auth, space, page_ids, rng)
     m = auth.map_private(space, page_ids)
+    model = bytearray(rng.randbytes(m.size))
+    space.access(m.base, m.size, "w").write(0, model)
     w = space.access(m.base + skew, length, "rw")
-    refree("window")
-    model = bytearray(b"".join(auth.phys[pid] for pid in page_ids))
+    if freed is not None:
+        pid = page_ids[freed]
+        auth.free_pages([pid], "proxy")
+        assert auth.alloc_pages(1, "proxy", NORMAL) == [pid]
+        again = auth.map_private(space, [pid])
+        space.access(again.base, PAGE_SIZE, "w").write(0, rng.randbytes(PAGE_SIZE))
     wids = page_ids[:(skew + max(length, 1) - 1) // PAGE_SIZE + 1]
     calls = []
     auth.monitor.on_access = lambda sp, vaddr, n, mode, pids: calls.append(
@@ -392,7 +429,7 @@ def test_window_matches_flat_model(case):
         n = arg if isinstance(arg, int) else arg.size
         data = rng.randbytes(n)
         before = len(calls)
-        if off < 0 or off + n > length:
+        if freed is not None or off < 0 or off + n > length:
             with pytest.raises(BusFault):
                 if kind == "read":
                     w.read(off, n)
@@ -419,4 +456,5 @@ def test_window_matches_flat_model(case):
             mode = "r" if kind in ("read", "unpack") else "w"
             assert calls[before:] == [(m.base + skew + off, n, mode,
                                        _span_pages(skew, wids, off, n))]
-        assert b"".join(auth.phys[pid] for pid in page_ids) == model
+        # the mapped bytes, read from the extent without the monitor
+        assert m.extent.buf[m.extent_off:m.extent_off + m.size] == model
