@@ -7,9 +7,12 @@ could not change anything, `EnclaveRuntime.poll_wait` hands the scheduler a
 wait that burns ticks without resuming the body until the deadline or alarm
 tick or the next deschedule, and it falls back to one busy-poll tick
 otherwise. Results, timings and traces equal those of a loop that pumps
-every tick. The layer converts the three ways a wait can end into errno
-conventions: negative errno for host refusals, -ETIMEDOUT when the caller's
-deadline passes, -EINTR when an alarm fires first, -EAGAIN for a zero-timeout
+every tick. Every timeout, a `PosixShim` staging drain's included, counts
+simulated time from the call's start, not the ticks the task burned, so a
+call gives up within its timeout plus one period whatever its budget. The
+layer converts the three ways a wait can end into errno conventions:
+negative errno for host refusals, -ETIMEDOUT when the caller's deadline
+passes, -EINTR when an alarm fires first, -EAGAIN for a zero-timeout
 probe that would block. A call that gives up releases its promise at once
 (promise.abandon): a direct submission's straggler (getpid) is dropped, and
 a staged call's arena is freed, at once if the call never reached the ring,
@@ -170,14 +173,14 @@ class PosixShim:
             f.file_off += r
             return r
         cap = self.rt.cfg.write_staging_cap
-        waited = 0
+        deadline = self._deadline()
         while f.staged and len(f.staged) + len(data) > cap:
             self._maybe_submit(f, tail=len(f.staged) < f.block_size)
-            waited += yield from self._drain_wait(waited)
+            yield from self.rt.poll_wait(deadline)
             self.rt.pump()
             if f.error:
                 return -f.error
-            if self.timeout_ns is not None and waited > self.timeout_ns:
+            if deadline is not None and self.rt.now() >= deadline:
                 return -ETIMEDOUT
         f.staged += data
         self._maybe_submit(f)
@@ -213,28 +216,21 @@ class PosixShim:
 
         f.inflight = self.rt.pool.then(p, _landed, on_fail=_lost)
 
-    def _drain_wait(self, waited: int):
-        """One poll wait of a drain loop that has waited `waited` ns so far;
-        it ends by the tick at which `waited` would first exceed the
-        timeout. Returns the ns burned."""
-        tick = self.rt.cfg.poll_tick
-        until = None
-        if self.timeout_ns is not None:
-            until = self.rt.now() + \
-                ((self.timeout_ns - waited) // tick + 1) * tick
-        return (yield from self.rt.poll_wait(until)) * tick
+    def _deadline(self) -> int | None:
+        # a drain times out in simulated time, as sync_call does
+        return None if self.timeout_ns is None else self.rt.now() + self.timeout_ns
 
     def flush(self, fd: int):
         """Drain staging (tail included) and the in-flight write."""
         f = self._files.get(fd)
         if f is None:
             return -EBADF
-        waited = 0
+        deadline = self._deadline()
         while (f.staged or f.inflight is not None) and not f.error:
             self._maybe_submit(f, tail=True)
-            waited += yield from self._drain_wait(waited)
+            yield from self.rt.poll_wait(deadline)
             self.rt.pump()
-            if self.timeout_ns is not None and waited > self.timeout_ns:
+            if deadline is not None and self.rt.now() >= deadline:
                 return -ETIMEDOUT
         return -f.error if f.error else 0
 

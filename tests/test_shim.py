@@ -458,3 +458,37 @@ def test_small_cap_buffered_equals_direct(cap):
         want = b"".join(op for op in ops if op is not None)
         assert bytes(sim.vfs.files[f"/a/f{i}"].data) == want, f"buffered {i}"
         assert bytes(sim.vfs.files[f"/b/f{i}"].data) == want, f"direct {i}"
+
+
+@pytest.mark.parametrize("budget", [10_000, 50_000])
+@pytest.mark.parametrize("drain", ["write", "flush"])
+def test_drain_timeout_counts_simulated_time(drain, budget):
+    """A staging drain that the host never serves times out within
+    timeout + one period of simulated time, whatever share of the period
+    the enclave may burn (as acceptance 9 bounds sync_call)."""
+    period = 100_000
+    sim = app_sim(MANIFEST, policy=AdversaryPolicy(per_op={"write": ("deny",)}),
+                  cfg=SimConfig(write_staging_cap=512))
+
+    def body(rt, out):
+        out["r"] = []
+        for tau in (170_000, 1_000_000):
+            sh = PosixShim(rt, timeout_ns=tau)
+            fd = yield from sh.open("/data/f")
+            # the second write submits the first as a tail; its write stays
+            # in flight, so the third must drain behind it
+            assert (yield from sh.write(fd, b"x" * 600)) == 600
+            assert (yield from sh.write(fd, b"x" * 600)) == 600
+            t0 = rt.now()
+            if drain == "write":
+                r = yield from sh.write(fd, b"x" * 600)
+            else:
+                r = yield from sh.flush(fd)
+            out["r"].append((tau, r, rt.now() - t0))
+        out["done"] = True
+
+    _, out = spawn_app(sim, body, env=ENV, period=period, budget=budget)
+    sim.run_until(40_000_000)
+    assert out.get("done"), out
+    for tau, r, elapsed in out["r"]:
+        assert r == -ETIMEDOUT and tau <= elapsed <= tau + period, (tau, r, elapsed)
