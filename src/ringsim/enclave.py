@@ -83,6 +83,10 @@ class RingHandle:
         self._region_counter = region_base
         self._parked: deque = deque()
         self.backlog = False  # left by the last reap (see there)
+        # set by EnclaveRuntime.pump when it pushed and delivered nothing: no
+        # parked entry can go out before the host runs or a retire (which
+        # clears it) frees a record
+        self.stuck = False
         self.delivered_log = DeliveryLog()  # (internal_id, result)
 
     # --- submission ---
@@ -202,6 +206,7 @@ class RingHandle:
         unknown. Only the fuzzer drives it; a call that gives up retires
         by tag instead (retire_tag)."""
         self._table.pop(receipt, None)
+        self.stuck = False
 
     def retire_tag(self, tag, published: bool = True) -> bool:
         """Forget a tag whose caller gave up: drop its parked submissions
@@ -209,6 +214,7 @@ class RingHandle:
         completion is dropped as unknown. -> whether one was parked."""
         if published:
             self._table = {i: r for i, r in self._table.items() if r.tag != tag}
+            self.stuck = False
         parked = len(self._parked)
         self._parked = deque(p for p in self._parked if p[2] != tag)
         return len(self._parked) < parked
@@ -270,12 +276,13 @@ class RingHandle:
 
     # --- parked submissions (ring or correlation table temporarily full) ---
 
-    def pump_parked(self) -> None:
+    def pump_parked(self) -> bool:
         """Push parked submissions in order in one SQ batch while there is
-        room, then ring one doorbell if any went out. Each entry leaves the
-        queue before its push, so an untranslatable one raises once."""
+        room, then ring one doorbell if any went out; -> whether any did.
+        Each entry leaves the queue before its push, so an untranslatable
+        one raises once."""
         if not self._parked:
-            return
+            return False
         self._sq.begin_produce()
         pushed = False
         try:
@@ -286,6 +293,7 @@ class RingHandle:
             self._sq.end_produce()
             if pushed:
                 self._kernel.ring_enter(self._space.owner)
+        return pushed
 
     @property
     def parked_count(self) -> int:

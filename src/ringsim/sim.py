@@ -118,10 +118,13 @@ class EnclaveRuntime:
     def pump(self, max_events: int | None = None) -> int:
         """Drain up to max_events events (RingHandle.reap), run deferred work.
         An idle pump (nothing parked or deferred, no held front, CQ tail equal
-        to the private head) returns after its one tail load."""
-        self.handle.pump_parked()
+        to the private head) returns after its one tail load. A pump that
+        pushes and delivers nothing leaves the handle `stuck`."""
+        h = self.handle
+        pushed = h.pump_parked()
         budget = self.cfg.max_events if max_events is None else max_events
-        n = self.handle.reap(budget, self.pool.settle_from_cqe)
+        n = h.reap(budget, self.pool.settle_from_cqe)
+        h.stuck = not (pushed or n)
         self._pumped_in = self._sched.resumes
         self.pool.run_deferred()
         return n
@@ -130,19 +133,20 @@ class EnclaveRuntime:
         """Burn poll ticks until there may be news: `yield from` it.
 
         While another pump() could not change anything (no deferred
-        continuation, nothing parked, no completion backlog),
-        nothing can: no other task runs while this one holds the core. Then
-        the scheduler burns ticks without resuming the body, up to the first
-        tick end at or after `until` or the next deschedule. Otherwise this
-        is one plain tick, as in a busy-poll loop. Returns the ticks burned.
-        The backlog is the one a pump in this same resume of the body left:
-        with no yield since, nothing else has run.
+        continuation, nothing parked that could go out, no completion
+        backlog), nothing can: no other task runs while this one holds the
+        core. Then the scheduler burns ticks without resuming the body, up
+        to the first tick end at or after `until` or the next deschedule.
+        Otherwise this is one plain tick, as in a busy-poll loop. Returns the
+        ticks burned. The backlog, and whether parked entries are stuck, are
+        what a pump in this same resume of the body left: with no yield
+        since, the host has not run, so only a retire can make room.
         """
         tick = self.cfg.poll_tick
         h = self.handle
-        if self.pool.deferred_count or h.parked_count or (
-                h.backlog if self._pumped_in == self._sched.resumes
-                else h.cq_backlog()):
+        fresh = self._pumped_in == self._sched.resumes
+        if self.pool.deferred_count or (h.parked_count and not (fresh and h.stuck)) or (
+                h.backlog if fresh else h.cq_backlog()):
             yield ("compute", tick)
             return 1
         return (yield ("wait", tick, until))

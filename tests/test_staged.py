@@ -6,6 +6,7 @@ from ringsim.host import AdversaryPolicy
 from ringsim.promise import abandon, async_open, async_read, async_write
 from ringsim.ring import OP_READ
 from ringsim.shim import sync_call
+from ringsim.sim import EnclaveRuntime
 
 from helpers import app_sim, spawn_app
 
@@ -171,3 +172,37 @@ def test_late_reads_free_their_arenas_and_never_reach_a_later_write():
     received, in_bins, live = rt.arena_pool.accounting()
     assert (in_bins, live) == (received, 0)
     assert rt.pool.outstanding == 0 and not rt.handle._table
+
+
+def test_parked_reads_behind_a_full_table_wait_without_busy_polling(monkeypatch):
+    # once abandoned published reads fill the table, every later read parks
+    # and cannot go out before it times out: its wait must not pump once
+    # per poll tick, and it still times out on time
+    cap = 32
+    pumps = [0]
+    pump = EnclaveRuntime.pump
+
+    def counting_pump(rt, *args):
+        pumps[0] += 1
+        return pump(rt, *args)
+
+    monkeypatch.setattr(EnclaveRuntime, "pump", counting_pump)
+
+    def body(rt, out):
+        fd = yield from _open(rt)
+        for i in range(cap + 40):
+            if i == cap:
+                assert len(rt.handle._table) == cap
+                mark = pumps[0]
+            t0 = rt.now()
+            r = yield from sync_call(rt, async_read(rt, fd, 64), 300_000)
+            assert r == -ETIMEDOUT and t0 + 300_000 <= rt.now() <= t0 + 400_000
+        out["pumps"] = (pumps[0] - mark) / 40
+        out["done"] = True
+
+    sim = app_sim(MANIFEST, policy=AdversaryPolicy(per_op={"read": ("deny",)}),
+                  cfg=SimConfig(max_outstanding_promises=cap))
+    _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
+    sim.run_until(2_000_000_000)
+    assert out.get("done")
+    assert out["pumps"] <= 6, out["pumps"]
