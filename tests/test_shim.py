@@ -354,6 +354,43 @@ def test_waits_match_polling_every_tick(host, monkeypatch):
     assert wait_resumes * 3 < poll_resumes
 
 
+def _full_table_world():
+    # reads and getpid calls outlive their timeout, so abandoned records
+    # fill a 4-entry table and later calls park; late completions and
+    # retired getpid records make room again
+    policy = AdversaryPolicy(per_op={"read": ("delay", 5_000_000),
+                                     "getpid": ("delay", 600_000)})
+    sim = app_sim(MANIFEST, policy=policy, seed=3,
+                  cfg=SimConfig(max_outstanding_promises=8))
+    out = []
+
+    def body(rt):
+        fd = yield from sync_call(rt, async_open(rt, b"/data/f"))
+        for i in range(40):
+            if i % 3 == 2:
+                r = yield from getpid(rt, timeout_ns=150_000)
+            else:
+                r = yield from sync_call(rt, async_read(rt, fd, 64, 64 * i),
+                                         150_000 + 50_000 * (i % 4))
+            out.append((i, rt.now(), r if isinstance(r, int) else bytes(r),
+                        rt.handle.parked_count))
+        while True:
+            yield ("yield",)
+
+    rt = sim.spawn_enclave("app", 100_000, 30_000, body, env=ENV, priority=5)
+    sim.run_until(20_000_000)
+    return (sim.sched.trace, sim.host.events, out, rt.handle.delivered_log)
+
+
+def test_parked_waits_match_polling_every_tick(monkeypatch):
+    """Waits on calls parked behind a full table idle only while nothing
+    can make room: the run equals one that pumps every poll tick."""
+    waited = _full_table_world()
+    monkeypatch.setattr(EnclaveRuntime, "poll_wait", _poll_every_tick)
+    monkeypatch.setattr(HostOs, "quiet_until", lambda self: None)
+    assert waited == _full_table_world()
+
+
 def test_never_wake_open_resumes_once_or_twice_per_period():
     # the default timeout is unbounded, so the open never returns; but the
     # body is resumed about once per period, not once per poll tick

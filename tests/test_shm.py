@@ -411,6 +411,7 @@ def test_window_matches_flat_model(case):
     space = auth.create_space("proxy", NORMAL)
     _assert_refused(auth, space, page_ids, rng)
     m = auth.map_private(space, page_ids)
+    assert m.base == 0x10000  # the refusals took no address range
     model = bytearray(rng.randbytes(m.size))
     space.access(m.base, m.size, "w").write(0, model)
     w = space.access(m.base + skew, length, "rw")

@@ -4,7 +4,8 @@ call's arena until that call's completion lands (the io_uring buffer rule)."""
 from ringsim.config import ETIMEDOUT, INIT_SHM_ENV, SimConfig
 from ringsim.host import AdversaryPolicy
 from ringsim.promise import abandon, async_open, async_read, async_write
-from ringsim.ring import OP_READ
+from ringsim.enclave import SqeArgs
+from ringsim.ring import OP_GETPID, OP_READ
 from ringsim.shim import sync_call
 from ringsim.sim import EnclaveRuntime
 
@@ -206,3 +207,33 @@ def test_parked_reads_behind_a_full_table_wait_without_busy_polling(monkeypatch)
     sim.run_until(2_000_000_000)
     assert out.get("done")
     assert out["pumps"] <= 6, out["pumps"]
+
+
+def test_a_retired_record_lets_a_parked_call_go_out_at_once():
+    # the table is full and a call is parked, so the last pump was stuck;
+    # a timed-out getpid then retires its record, and the next wait must
+    # be one busy tick, after which the parked call goes out
+    cap = 8
+    policy = AdversaryPolicy(per_op={"read": ("deny",), "getpid": ("deny",)})
+
+    def body(rt, out):
+        fd = yield from _open(rt)
+        table = rt.handle._table
+        while len(table) < cap - 1:  # abandoned reads keep their records
+            r = yield from sync_call(rt, async_read(rt, fd, 64), 100_000)
+            assert r == -ETIMEDOUT
+        first = rt.submit_async(OP_GETPID, SqeArgs(translate=False))
+        rt.submit_async(OP_GETPID, SqeArgs(translate=False))
+        assert len(table) == cap and rt.handle.parked_count == 1
+        assert (yield from sync_call(rt, first, 100_000)) == -ETIMEDOUT
+        out["ticks"] = yield from rt.poll_wait(rt.now() + 1_000_000)
+        rt.pump()
+        out["parked"] = rt.handle.parked_count
+        out["done"] = True
+
+    sim = app_sim(MANIFEST, policy=policy,
+                  cfg=SimConfig(max_outstanding_promises=cap))
+    _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
+    sim.run_until(100_000_000)
+    assert out.get("done")
+    assert out["ticks"] == 1 and out["parked"] == 0
