@@ -218,7 +218,8 @@ class PosixShim:
 
     def _deadline(self) -> int | None:
         # a drain times out in simulated time, as sync_call does
-        return None if self.timeout_ns is None else self.rt.now() + self.timeout_ns
+        t = self.timeout_ns
+        return None if t is None else self.rt.now() + t
 
     def flush(self, fd: int):
         """Drain staging (tail included) and the in-flight write."""

@@ -195,7 +195,8 @@ class MemoryWindow:
         # the pages [off, off + n) touches; a zero-length access names the
         # page holding off, or the window's last page when off is its end
         pos = self._pos + off
-        first = (pos - 1 if n == 0 and off == self.length > 0 else pos) // PAGE_SIZE
+        at_end = n == 0 and off == self.length > 0
+        first = (pos - at_end) // PAGE_SIZE
         last = max(first, (pos + n - 1) // PAGE_SIZE)
         self._monitor.on_access(self._space, self.base + off, n, mode,
                                 self._extent.page_ids[first:last + 1])
@@ -310,7 +311,7 @@ class MemoryAuthority:
 
     def __init__(self, total_pages: int = 65536):
         self.total_pages = total_pages
-        self._extents: dict[int, Extent] = {}  # page -> its allocation's extent
+        self._extents: dict[int, Extent] = {}  # page -> its allocation
         self.table = PageAllocTable()
         self.monitor = AccessMonitor(self.table)
         self.registrations: dict[int, SharedRegistration] = {}

@@ -145,8 +145,9 @@ class EnclaveRuntime:
         tick = self.cfg.poll_tick
         h = self.handle
         fresh = self._pumped_in == self._sched.resumes
-        if self.pool.deferred_count or (h.parked_count and not (fresh and h.stuck)) or (
-                h.backlog if fresh else h.cq_backlog()):
+        if self.pool.deferred_count or \
+                (h.parked_count and not (fresh and h.stuck)) or \
+                (h.backlog if fresh else h.cq_backlog()):
             yield ("compute", tick)
             return 1
         return (yield ("wait", tick, until))
