@@ -104,7 +104,8 @@ class ArenaPool:
 
         Fulfilled immediately when a binned chunk fits; otherwise parked until
         a refill grant lands. Fails with PoolExhausted only when a refill is
-        explicitly refused; host silence leaves it pending.
+        explicitly refused or finds no promise slots for itself; host silence
+        leaves it pending.
         """
         cls = size_class(size)
         chunk = self._take_chunk(cls)
@@ -174,12 +175,14 @@ class ArenaPool:
     def _maybe_refill(self) -> None:
         if self._refill_inflight or not self._waiters:
             return
+        pool = self._handle.pool
+        if pool.max_outstanding - pool.outstanding < 3:  # grant, attach, then
+            return self._on_refill_failed("no promise slots")
         need = sum(cls for cls, _ in self._waiters)
         rsize = ((need + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
         self._refill_inflight = True
         p = self._handle.enclave_mmap(rsize)
-        self._handle.pool.then(p, self._on_refill,
-                               on_fail=self._on_refill_failed)
+        pool.then(p, self._on_refill, on_fail=self._on_refill_failed)
 
     def _on_refill(self, block) -> None:
         self._refill_inflight = False

@@ -61,10 +61,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.scenario) as fh:
             text = fh.read()
         kind = sc.parse_scenario(text)["scenario"].get("kind", "game1")
-        if kind == "game2":
-            row, trace = sc.run_game2(text), []
-        else:
-            row, trace = sc.run_game1_traced(text)
+        run = sc.run_game2_traced if kind == "game2" else sc.run_game1_traced
+        row, trace = run(text)
         _emit([row], kind, 0, args.out)
         if args.trace:
             with open(args.trace, "w") as fh:

@@ -65,7 +65,8 @@ class RingHandle:
     """Per-enclave hardened view of one SQ/CQ ring pair."""
 
     def __init__(self, sq: Ring, cq: Ring, space: AddressSpace, kernel,
-                 pool, cfg: SimConfig, region_base: int = 1 << 20):
+                 pool, cfg: SimConfig, region_base: int = 1 << 20,
+                 keep_records: bool = True):
         self._sq = sq
         self._cq = cq
         self._space = space
@@ -87,7 +88,7 @@ class RingHandle:
         # parked entry can go out before the host runs or a retire (which
         # clears it) frees a record
         self.stuck = False
-        self.delivered_log = DeliveryLog()  # (internal_id, result)
+        self.delivered_log = DeliveryLog(keep_records)  # (internal_id, result)
 
     # --- submission ---
 

@@ -95,6 +95,10 @@ class PoolExhausted(RingSimError):
     """Fixed-capacity pool (promises, arena refill) cannot satisfy the request."""
 
 
+class RecordsNotKept(RingSimError):
+    """A bounded record log was asked for the records it dropped."""
+
+
 # --- devices ---
 
 class DeviceFull(RingSimError):

@@ -201,7 +201,7 @@ class AdversaryPolicy:
 class HostOs:
     def __init__(self, authority: MemoryAuthority, proxy_space: AddressSpace,
                  vfs: VirtualFs, policy: AdversaryPolicy, cfg: SimConfig,
-                 seed: int, name: str = "host0"):
+                 seed: int, name: str = "host0", keep_records: bool = True):
         self.authority = authority
         self.proxy_space = proxy_space
         self.vfs = vfs
@@ -220,7 +220,7 @@ class HostOs:
         self.pending_wake = False
         self.proxy_alive = True
         self.serviced = 0
-        self.events = HostEvents()
+        self.events = HostEvents(keep_records)
         self.wake_window = None            # reader view of the wake region
         self._wake_seen = 0
         self.scribble_targets: list = []   # proxy-side windows of shared regions

@@ -199,8 +199,12 @@ def _staged_op(rt, opcode: int, size: int, fd: int = 0, off: int = 0,
     """Promise of one call staged through an arena, which holds `size` bytes
     at offset 0, the submitted address; `payload`, when given, is copied in
     before submitting. finish(arena, result) gives the promise value."""
-    request = rt.arena_pool.request_arena(max(size, 1))
-    op = rt.pool.create(_StagedOp)
+    op = rt.pool.create(_StagedOp)  # first, so a refill counts its slot
+    try:
+        request = rt.arena_pool.request_arena(max(size, 1))
+    except PoolExhausted:
+        rt.pool.abandon(op)
+        raise
     op.rt, op.opcode, op.payload, op.finish = rt, opcode, payload, finish
     op.args = SqeArgs(fd=fd, len=size, off=off)
     op.request, op.arena = request, None

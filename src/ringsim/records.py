@@ -7,10 +7,15 @@ small per-log table, so a record costs its packed size instead of a tuple
 of boxed ints. Emitting is one `pack` and one `+=`; records are decoded only
 when read.
 
-A log is a read-only sequence of the tuples it was fed: `len`, iteration,
-`in`, `==` (against a list or another log) and `repr` behave exactly as on
-the list of those tuples. Emit methods bind their `pack` as a default
-argument, so the per-record path looks up no global or attribute for it.
+A kept log (`keep=True`, the default) is a read-only sequence of the
+tuples it was fed: `len`, iteration, `in`, `==` (against a list or another
+log) and `repr` behave exactly as on the list of those tuples. A bounded
+log (`keep=False`) feeds its buffer to a running SHA-256 and drops it on
+reaching SEAL_BYTES; it answers `len` and `digest()`, and the rest raise
+RecordsNotKept. `digest()` covers every record's bytes, then the interned
+values, so both modes give the same digest for the same records. Emit
+methods bind their `pack` as a default argument, so the per-record path
+looks up no global or attribute for it.
 
 Field types:
 
@@ -22,10 +27,14 @@ Field types:
 """
 from __future__ import annotations
 
+import hashlib
 import struct
 from functools import partial
 
+from .errors import RecordsNotKept
+
 U64, I64, U32, BOOL, STR = "Q", "q", "I", "?", "S"
+SEAL_BYTES = 16 * 1024  # about 1,024 scheduler-trace records
 
 
 class Layout:
@@ -63,7 +72,7 @@ class _Interner(dict):
 
 
 class RecordLog:
-    """Read-only sequence of packed records of the kinds in LAYOUTS.
+    """Packed records of the kinds in LAYOUTS, kept or bounded.
 
     With one untagged layout every record has that layout; otherwise each
     record starts with a kind byte, its index in LAYOUTS.
@@ -71,15 +80,32 @@ class RecordLog:
 
     LAYOUTS: tuple[Layout, ...] = ()
 
-    def __init__(self):
+    def __init__(self, keep: bool = True):
         self._buf = bytearray()
         self._n = 0
         self._ids = _Interner()
+        self._sealed = None if keep else hashlib.sha256()  # of dropped bytes
+
+    def _add(self, rec: bytes) -> None:
+        self._buf += rec
+        self._n += 1
+        if len(self._buf) >= SEAL_BYTES and self._sealed is not None:
+            self._sealed.update(self._buf)
+            self._buf = bytearray()
 
     def __len__(self) -> int:
         return self._n
 
+    def digest(self) -> str:
+        h = hashlib.sha256() if self._sealed is None else self._sealed.copy()
+        h.update(self._buf)
+        h.update(repr(self._ids.values).encode())
+        return h.hexdigest()
+
     def __iter__(self):
+        if self._sealed is not None:
+            raise RecordsNotKept(f"bounded {type(self).__name__} (keep=False)"
+                                 " keeps only len() and digest()")
         buf, strs, layouts = self._buf, self._ids.values, self.LAYOUTS
         lay = layouts[0]
         tagged = lay.tag is not None
@@ -91,11 +117,12 @@ class RecordLog:
             off += lay.struct.size
 
     def __eq__(self, other):
+        mine = list(self)
         if isinstance(other, RecordLog):
             other = list(other)
         elif not isinstance(other, list):
             return NotImplemented
-        return self._n == len(other) and list(self) == other
+        return mine == other
 
     __hash__ = None
 
@@ -114,9 +141,13 @@ class SchedTrace(RecordLog):
 
     def record(self, now: int, task: str, event: str,
                _pack=_TRACE.struct.pack) -> None:
-        ids = self._ids
-        self._buf += _pack(now, ids[task], ids[event])
+        # _add, inlined: most records of a run are the scheduler's
+        ids, buf = self._ids, self._buf
+        buf += _pack(now, ids[task], ids[event])
         self._n += 1
+        if len(buf) >= SEAL_BYTES and self._sealed is not None:
+            self._sealed.update(buf)
+            self._buf = bytearray()
 
 
 class DeliveryLog(RecordLog):
@@ -126,8 +157,7 @@ class DeliveryLog(RecordLog):
 
     def record(self, internal_id: int, result: int,
                _pack=_DELIVERY.struct.pack) -> None:
-        self._buf += _pack(internal_id, result)
-        self._n += 1
+        self._add(_pack(internal_id, result))
 
 
 HOST_LAYOUTS = (
@@ -156,52 +186,42 @@ class HostEvents(RecordLog):
     LAYOUTS = HOST_LAYOUTS
 
     def poller_wake(self, now: int, _pack=_PACK["poller_wake"]) -> None:
-        self._buf += _pack(now)
-        self._n += 1
+        self._add(_pack(now))
 
     def poller_sleep(self, now: int, _pack=_PACK["poller_sleep"]) -> None:
-        self._buf += _pack(now)
-        self._n += 1
+        self._add(_pack(now))
 
     def kill_proxy(self, now: int, _pack=_PACK["kill_proxy"]) -> None:
-        self._buf += _pack(now)
-        self._n += 1
+        self._add(_pack(now))
 
     def cqe(self, eid: str, user_data: int, result: int,
             _pack=_PACK["cqe"]) -> None:
-        self._buf += _pack(self._ids[eid], user_data, result)
-        self._n += 1
+        self._add(_pack(self._ids[eid], user_data, result))
 
     def cqe_dropped(self, eid: str, user_data: int,
                     _pack=_PACK["cqe_dropped"]) -> None:
-        self._buf += _pack(self._ids[eid], user_data)
-        self._n += 1
+        self._add(_pack(self._ids[eid], user_data))
 
     def sqe(self, now: int, eid: str, op: str, user_data: int,
             _pack=_PACK["sqe"]) -> None:
         ids = self._ids
-        self._buf += _pack(now, ids[eid], ids[op], user_data)
-        self._n += 1
+        self._add(_pack(now, ids[eid], ids[op], user_data))
 
     def deny(self, now: int, op: str, user_data: int,
              _pack=_PACK["deny"]) -> None:
-        self._buf += _pack(now, self._ids[op], user_data)
-        self._n += 1
+        self._add(_pack(now, self._ids[op], user_data))
 
     def read_payload(self, now: int, eid: str, user_data: int,
                      path: str | None, clean: bool, off: int, n: int,
                      result: int, _pack=_PACK["read_payload"]) -> None:
         ids = self._ids
-        self._buf += _pack(now, ids[eid], user_data, ids[path], clean, off,
-                           n, result)
-        self._n += 1
+        self._add(_pack(now, ids[eid], user_data, ids[path], clean, off, n,
+                        result))
 
     def reg_atomic(self, region_id: int, atomic: bool,
                    _pack=_PACK["reg_atomic"]) -> None:
-        self._buf += _pack(region_id, atomic)
-        self._n += 1
+        self._add(_pack(region_id, atomic))
 
     def registration_rejected(self, region_id: int, error: str,
                               _pack=_PACK["registration_rejected"]) -> None:
-        self._buf += _pack(region_id, self._ids[error])
-        self._n += 1
+        self._add(_pack(region_id, self._ids[error]))

@@ -168,7 +168,9 @@ def _game_cfg() -> SimConfig:
 def _build_game_sim(sc: dict, policy: AdversaryPolicy):
     cfg = _game_cfg()
     seed = int(sc["scenario"].get("seed", 0))
-    sim = Simulation(cfg=cfg, seed=seed, manifest=sc["vfs"], policy=policy)
+    # the oracles and the traced runners read the logs back
+    sim = Simulation(cfg=cfg, seed=seed, manifest=sc["vfs"], policy=policy,
+                     keep_records=True)
     task = sc["tasks"].get("victim", {})
     period = int(task.get("period", 100_000))
     budget = int(task.get("budget", 50_000))
@@ -291,7 +293,7 @@ def generate_game1(seed: int, count: int) -> list[str]:
 
 # --- integrity game (hostile run vs honest twin) ---
 
-def run_game2(text: str) -> dict:
+def _run_game2(text: str):
     sc = parse_scenario(text)
     hostile = _policy_from(sc["adversary"])
     honest = AdversaryPolicy()
@@ -327,7 +329,18 @@ def run_game2(text: str) -> dict:
         "ok_atomic": ok_atomic,
         "ok_detect": ok_detect,
         "ok": bool(ok_subset and ok_unique and ok_atomic and ok_detect),
-    }
+    }, sim_h, sim_t
+
+
+def run_game2(text: str) -> dict:
+    return _run_game2(text)[0]
+
+
+def run_game2_traced(text: str) -> tuple[dict, list[str]]:
+    """Row plus the hostile run's scheduler trace, then the twin's."""
+    row, sim_h, sim_t = _run_game2(text)
+    return row, (sim_h.sched.export_trace_lines() + ["--- honest twin ---"]
+                 + sim_t.sched.export_trace_lines())
 
 
 def generate_game2(seed: int, count: int) -> list[str]:

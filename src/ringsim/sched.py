@@ -75,7 +75,7 @@ class TaskControl:
 
 
 class BudgetScheduler:
-    def __init__(self, policy: str = FP):
+    def __init__(self, policy: str = FP, keep_records: bool = True):
         if policy not in (FP, EDF):
             raise ValueError(f"unknown policy {policy}")
         self.policy = policy
@@ -85,7 +85,7 @@ class BudgetScheduler:
         self._ranked: list[TaskControl] = []  # live tasks, FP pick order
         self._running: TaskControl | None = None
         self._next_tid = 0
-        self.trace = SchedTrace()  # (now, task, event)
+        self.trace = SchedTrace(keep_records)  # (now, task, event)
         self.trace_enabled = True
         self.record_timeline = False
         self.timeline: list[tuple[int, int, str]] = []

@@ -18,7 +18,6 @@ side of the simulation.
 """
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 
@@ -438,22 +437,16 @@ class MemoryAuthority:
         reg.state = MAPPED
         return m
 
-    # --- state digest for atomicity checks ---
+    # --- state snapshot for atomicity checks ---
 
-    def state_digest(self) -> str:
-        h = hashlib.sha256()
-        for pid in sorted(self.table.entries):
-            info = self.table.entries[pid]
-            h.update(f"P{pid}:{info.owner}:{info.world}:{info.purpose};".encode())
-        for owner in sorted(self.table.quotas):
-            h.update(f"Q{owner}={self.table.quotas[owner]};".encode())
-        for owner in sorted(self.table.used):
-            h.update(f"U{owner}={self.table.used[owner]};".encode())
-        for rid in sorted(self.registrations):
-            r = self.registrations[rid]
-            h.update(f"R{rid}:{r.pages}:{r.expected_size}:{r.state};".encode())
-        for sp in self.spaces:
-            h.update(f"S{sp.owner}:{sp.world};".encode())
-            for m in sp.mappings():
-                h.update(f"M{m.base}:{m.size}:{m.page_ids}:{m.perms};".encode())
-        return h.hexdigest()
+    def state_digest(self) -> tuple:
+        """Exact snapshot of the metadata (not the payload), for `==`."""
+        t = self.table
+        return (sorted((pid, i.owner, i.world, i.purpose)
+                       for pid, i in t.entries.items()),
+                sorted(t.quotas.items()), sorted(t.used.items()),
+                sorted((rid, r.pages, r.expected_size, r.state)
+                       for rid, r in self.registrations.items()),
+                [(sp.owner, sp.world, [(m.base, m.size, m.page_ids, m.perms)
+                                       for m in sp._maps])
+                 for sp in self.spaces])

@@ -157,11 +157,12 @@ class EnclaveRuntime:
 
 
 class Simulation:
-    """One platform: authority + kernel + host + device + scheduler."""
+    """One platform: authority + kernel + host + device + scheduler. Its
+    record logs are bounded (see `records.py`) unless `keep_records`."""
 
     def __init__(self, cfg: SimConfig | None = None, seed: int = 0,
                  manifest: str = "", policy: AdversaryPolicy | None = None,
-                 sched_policy: str = FP):
+                 sched_policy: str = FP, keep_records: bool = False):
         self.cfg = cfg or SimConfig()
         self.seed = seed
         self.authority = MemoryAuthority()
@@ -169,13 +170,14 @@ class Simulation:
         self.authority.table.set_quota("kernel", 16)
         self.kernel = TrustedKernel(self.authority)
         self.device = SecureSerialDevice(tx_capacity=1 << 20)
-        self.sched = BudgetScheduler(sched_policy)
+        self.keep_records = keep_records
+        self.sched = BudgetScheduler(sched_policy, keep_records)
         self.vfs = VirtualFs.from_manifest(manifest) if manifest else VirtualFs()
         self.policy = policy or AdversaryPolicy()
         proxy_space = self.authority.create_space("proxy", NORMAL,
                                                   base_hint=0x10000)
         self.host = HostOs(self.authority, proxy_space, self.vfs, self.policy,
-                           self.cfg, seed)
+                           self.cfg, seed, keep_records=keep_records)
         self.kernel.wire_host(self.host)
         self.runtimes: dict[str, EnclaveRuntime] = {}
         self._next_rid = 1
@@ -258,7 +260,8 @@ class Simulation:
                            cfg.continuation_budget)
         # per-enclave grant id space keeps host registrations collision-free
         handle = RingHandle(sq, cq, space, self.kernel, pool, cfg,
-                            region_base=(len(self.runtimes) + 1) << 20)
+                            region_base=(len(self.runtimes) + 1) << 20,
+                            keep_records=self.keep_records)
         rt = EnclaveRuntime(name, handle, self.sched, cfg, self.device)
         body = body_factory(rt)
         self.sched.admit(name, ENCLAVE, period, budget, body, priority)

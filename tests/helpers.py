@@ -136,9 +136,11 @@ class FakeRT:
 
 def app_sim(manifest: str = "", policy=None, cfg: SimConfig | None = None,
             seed: int = 0, sched_policy: str = "fp"):
-    """Simulation with the standard host task already admitted."""
+    """Simulation with the standard host task already admitted; it keeps its
+    records, so a test can read its trace, host events and deliveries."""
     sim = Simulation(cfg=cfg or SimConfig(), seed=seed, manifest=manifest,
-                     policy=policy, sched_policy=sched_policy)
+                     policy=policy, sched_policy=sched_policy,
+                     keep_records=True)
     sim.add_host_task()
     return sim
 

@@ -43,13 +43,14 @@ BENCH_MODES = ("blocking", "pipelined", "blocking_alt", "pipelined_alt")
 
 
 @contextmanager
-def _recorded_sims():
-    """Collect every Simulation the scenario runners build."""
+def _recorded_sims(keep: bool = True):
+    """Collect every Simulation the scenario runners build, each keeping its
+    records or bounded as `keep` says."""
     made: list[Simulation] = []
 
     class Recorded(Simulation):
         def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+            super().__init__(*args, **{**kwargs, "keep_records": keep})
             made.append(self)
 
     saved = scenario.Simulation
@@ -124,14 +125,15 @@ def _fleet_body(rt, out, read_len, rec_len, compute, flush_every, timeout):
         yield ("yield",)
 
 
-def _fleet_sim(host: str, monitored: bool = False):
+def _fleet_sim(host: str, monitored: bool = False, keep: bool = True):
     """-> (Simulation, outs) after the fixed-time run against `host`; with
-    `monitored`, the access monitor is armed from set-up on."""
+    `monitored`, the access monitor is armed from set-up on; `keep` is the
+    Simulation's keep_records."""
     # 512-byte log blocks and a small staging cap make the big tlm records
     # wait for the drain
     cfg = SimConfig(write_staging_cap=2048)
     sim = Simulation(cfg=cfg, seed=5, manifest="/logs/\n/sensors/\n",
-                     policy=FLEET_HOSTS[host])
+                     policy=FLEET_HOSTS[host], keep_records=keep)
     if monitored:
         sim.authority.monitor.arm()
     sim.vfs.files[SENSOR] = VFile(bytearray(range(256)) * 16, 512, False)
@@ -204,11 +206,13 @@ def _bulk_body(rt, out, got):
         yield ("yield",)
 
 
-def _bulk_case(host: str) -> str:
+def _bulk_sim(host: str, keep: bool = True):
+    """-> (Simulation, outs, delivered payloads) after the bulk run."""
     # a payload's delivery time grows with its size, so host slices (and
     # scribbles) fall between deliveries
     sim = Simulation(cfg=SimConfig(service_per_byte=1), seed=3,
-                     manifest="/data/\n", policy=BULK_HOSTS[host])
+                     manifest="/data/\n", policy=BULK_HOSTS[host],
+                     keep_records=keep)
     data = random.Random(BULK_FILE).randbytes(BULK_FILE)
     sim.vfs.files[BULK_PATH] = VFile(bytearray(data), 4096, False)
     sim.add_host_task(period=100_000, budget=50_000)
@@ -217,6 +221,11 @@ def _bulk_case(host: str) -> str:
                       lambda rt: _bulk_body(rt, out, got),
                       env={INIT_SHM_ENV: str(BULK_FILE)}, priority=5)
     sim.run_until(BULK_RUN_NS)
+    return sim, out, got
+
+
+def _bulk_case(host: str) -> str:
+    sim, out, got = _bulk_sim(host)
     delivered = hashlib.sha256(b"".join(got)).hexdigest()
     return _digest((out, delivered), [sim])
 

@@ -5,18 +5,27 @@ over the full range each field promises (u64 user_data and offsets, negative
 results, `None` paths, both flag values, strings the log has not seen).
 The value ranges are written out here, not read from the layouts, so a
 layout that lost a sign or decoded a flag as an int fails it.
+
+A bounded log (`keep=False`) must hold less than one seal of bytes, count
+exactly, refuse to be read, and digest like a kept log fed the same records,
+alone and in whole runs.
 """
 from __future__ import annotations
 
 import gc
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsim.records import HOST_LAYOUTS, DeliveryLog, HostEvents, SchedTrace
+from ringsim import scenario
+from ringsim.errors import RecordsNotKept
+from ringsim.records import (HOST_LAYOUTS, SEAL_BYTES, DeliveryLog,
+                             HostEvents, SchedTrace)
+from ringsim.sim import Simulation
 
-from test_golden import _fleet_sim
+from test_golden import _bulk_sim, _fleet_sim, _recorded_sims
 
 U64 = st.integers(0, 2**64 - 1)
 U32 = st.integers(0, 2**32 - 1)
@@ -45,15 +54,15 @@ TRACE_RECORD = st.tuples(U64, NAME, NAME)
 DELIVERY_RECORD = st.tuples(U64, RESULT)
 
 
-def _host_log(model):
-    log = HostEvents()
+def _host_log(model, keep=True):
+    log = HostEvents(keep)
     for kind, *fields in model:
         getattr(log, kind)(*fields)
     return log
 
 
-def _flat_log(cls, model):
-    log = cls()
+def _flat_log(cls, model, keep=True):
+    log = cls(keep)
     for rec in model:
         log.record(*rec)
     return log
@@ -122,3 +131,87 @@ def test_logs_hold_at_most_40_bytes_per_record():
         tracemalloc.stop()
     assert records > 5_000
     assert freed / records <= 40, f"{freed} B for {records} records"
+
+
+# --- bounded logs ---
+
+def test_a_bounded_log_holds_under_one_seal_and_counts_exactly():
+    log = SchedTrace(keep=False)
+    for i in range(10 * SEAL_BYTES // 16):  # ten seals of 16-byte records
+        log.record(i, "imu", "dispatch")
+        assert len(log._buf) < SEAL_BYTES
+    assert len(log) == 10 * SEAL_BYTES // 16
+
+
+@pytest.mark.parametrize("cls", [SchedTrace, DeliveryLog, HostEvents])
+def test_a_bounded_log_refuses_to_be_read(cls):
+    log = cls(keep=False)
+    for read in (lambda log: next(iter(log)), list, repr, lambda log: log == [],
+                 lambda log: log == cls(), lambda log: log != [],
+                 lambda log: () in log):
+        with pytest.raises(RecordsNotKept, match="bounded"):
+            read(log)
+    assert len(log) == 0 and log.digest() == cls().digest()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(HOST_RECORD, min_size=1, max_size=30), st.integers(1, 400),
+       st.lists(TRACE_RECORD, min_size=1, max_size=10),
+       st.lists(DELIVERY_RECORD, min_size=1, max_size=10))
+def test_a_bounded_log_digests_like_a_kept_one(host, reps, trace, delivery):
+    # repeated up to 400 times, the feeds cross several seals
+    for build, model in ((_host_log, host),
+                         (lambda m, keep: _flat_log(SchedTrace, m, keep), trace),
+                         (lambda m, keep: _flat_log(DeliveryLog, m, keep),
+                          delivery)):
+        kept, bounded = build(model * reps, True), build(model * reps, False)
+        assert len(bounded) == len(kept) == len(model) * reps
+        assert bounded.digest() == kept.digest()
+        assert kept.digest() != build(model * reps + model[:1], True).digest()
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_the_digest_covers_the_interned_values(keep):
+    # both logs pack the same bytes (string indices 0 and 1)
+    a = _flat_log(SchedTrace, [(1, "imu", "dispatch")], keep)
+    b = _flat_log(SchedTrace, [(1, "nav", "dispatch")], keep)
+    assert a._buf == b._buf and a.digest() != b.digest()
+
+
+def _logs(sim):
+    return [sim.sched.trace, sim.host.events] + \
+        [sim.runtimes[n].handle.delivered_log for n in sorted(sim.runtimes)]
+
+
+def _bench_sims(keep):
+    with _recorded_sims(keep) as sims:
+        scenario.run_bench("pipelined")
+    return sims
+
+
+RUNS = {"fleet:honest": lambda keep: [_fleet_sim("honest", keep=keep)[0]],
+        "bulk:honest": lambda keep: [_bulk_sim("honest", keep)[0]],
+        "bench:pipelined": _bench_sims}
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_a_bounded_run_digests_like_the_kept_run(case):
+    kept = [log for sim in RUNS[case](True) for log in _logs(sim)]
+    bounded = [log for sim in RUNS[case](False) for log in _logs(sim)]
+    assert [(len(log), log.digest()) for log in bounded] == \
+        [(len(log), log.digest()) for log in kept]
+
+
+def test_a_bounded_fleet_run_holds_under_one_seal_per_log():
+    """The fleet:honest golden run to 60 ms with bounded logs: each keeps
+    less than one seal of bytes, while the kept trace holds several."""
+    sim, _outs = _fleet_sim("honest", keep=False)
+    assert all(len(log._buf) < SEAL_BYTES for log in _logs(sim))
+    assert len(sim.sched.trace) * 16 > 4 * SEAL_BYTES
+
+
+def test_a_default_simulation_bounds_its_logs():
+    # so the bounded runs above are the default runs
+    sim = Simulation()
+    sim.spawn_enclave("app", 100_000, 50_000, lambda rt: iter(()))
+    assert all(log._sealed is not None for log in _logs(sim))

@@ -9,6 +9,7 @@ from ringsim.config import SimConfig, step_bounds
 from ringsim.scenario import (generate_game1, generate_game2, parse_scenario,
                               render_scenario, report_lines, run_bench,
                               run_fuzz, run_game1, run_game1_traced, run_game2,
+                              run_game2_traced,
                               write_report)
 
 SCEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -172,6 +173,21 @@ def test_cli_run_with_report_and_trace(tmp_path):
     row = json.loads(lines[1])
     assert row["ok"] and row["tx"] == "message"
     assert trace.read_text().splitlines()
+
+
+def test_cli_run_traces_both_runs_of_a_game2_scenario(tmp_path):
+    path = SCEN_DIR / "g2-corrupt.cfg"
+    out, trace = tmp_path / "row.jsonl", tmp_path / "trace.txt"
+    rc = cli.main(["run", "--scenario", str(path), "--out", str(out),
+                   "--trace", str(trace)])
+    assert rc == 0
+    row, lines = run_game2_traced(path.read_text())
+    assert json.loads(out.read_text().splitlines()[1]) == row == \
+        run_game2(path.read_text())
+    assert trace.read_text() == "\n".join(lines) + "\n"
+    hostile, twin = "\n".join(lines).split("\n--- honest twin ---\n")
+    for half in (hostile, twin):
+        assert half and all(len(l.split(" ")) == 3 for l in half.split("\n"))
 
 
 def test_cli_campaigns_and_fuzz(tmp_path):

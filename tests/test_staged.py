@@ -1,7 +1,7 @@
 """Staged calls: one operation record each, which is the promise its caller
 sees. When a caller gives up nothing leaks, and the host keeps a published
 call's arena until that call's completion lands (the io_uring buffer rule)."""
-from ringsim.config import ETIMEDOUT, INIT_SHM_ENV, SimConfig
+from ringsim.config import ENOMEM, ETIMEDOUT, INIT_SHM_ENV, SimConfig
 from ringsim.host import AdversaryPolicy
 from ringsim.promise import abandon, async_open, async_read, async_write
 from ringsim.enclave import SqeArgs
@@ -237,3 +237,23 @@ def test_a_retired_record_lets_a_parked_call_go_out_at_once():
     sim.run_until(100_000_000)
     assert out.get("done")
     assert out["ticks"] == 1 and out["parked"] == 0
+
+
+def test_a_refill_without_promise_slots_fails_the_open_with_enomem():
+    # the launch grant's request holds three promise slots until it lands.
+    # Under a cap of 7 the open's operation record and arena request leave
+    # two, fewer than a refill takes (its grant's two and the pool's then):
+    # the refill is refused before it submits anything, and the open gets
+    # -ENOMEM instead of PoolExhausted escaping the task body. A cap of 8
+    # leaves room for the refill, and the open gets its fd.
+    def body(rt, out):
+        out["fd"] = yield from sync_call(rt, async_open(rt, b"/data/f"),
+                                         1_000_000)
+
+    for cap, want, grants in ((7, -ENOMEM, 1), (8, 3, 2)):
+        sim = app_sim(MANIFEST, cfg=SimConfig(max_outstanding_promises=cap))
+        rt, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
+        sim.run_until(3_000_000)
+        assert out["fd"] == want, cap
+        assert sum(e[0] == "sqe" and e[3] == "enclave_mmap"
+                   for e in sim.host.events) == grants, cap
