@@ -3,9 +3,11 @@
 An arena is one buffer lent to one operation. All allocator metadata
 (capacities, free bins) is private to the enclave side; only payload bytes
 live in shared memory, so no host write can corrupt an offset or a free list.
-Freed arenas go back to size-class bins and are handed out LIFO; when nothing
-fits, the pool requests one new shared block at a time and parks requesters
-on promises until the grant lands.
+Freed arenas go back to size-class bins and are handed out LIFO. The
+requesters are the staged calls' operation records themselves: when nothing
+fits, an op parks in the pool's queue, and the pool requests one new shared
+block at a time; the grant that lands hands the parked ops their arenas in
+order, and one the trusted side refuses fails them.
 """
 from __future__ import annotations
 
@@ -89,7 +91,7 @@ class ArenaPool:
     def __init__(self, handle):
         self._handle = handle
         self._bins: dict[int, list[_FreeChunk]] = {}
-        self._waiters: deque = deque()  # (class_bytes, promise)
+        self._waiters: deque = deque()  # (class_bytes, op), in parking order
         self._refill_inflight = False
         self._next_arena_id = 1
         # conservation accounting (exact, in bytes)
@@ -99,27 +101,28 @@ class ArenaPool:
 
     # --- public API ---
 
-    def request_arena(self, size: int):
-        """Promise of an Arena with capacity >= size.
+    def request_arena(self, op, size: int):
+        """Give `op` (a staged call's record) an Arena with capacity >= size,
+        as op.arena; -> op.
 
-        Fulfilled immediately when a binned chunk fits; otherwise parked until
-        a refill grant lands. Fails with PoolExhausted only when a refill is
-        explicitly refused or finds no promise slots for itself; host silence
-        leaves it pending.
+        A binned chunk that fits serves it at once, and the op's staging step
+        is queued for the next drain. Otherwise the op parks until a refill
+        grant lands, or fails with PoolExhausted if the grant is refused;
+        host silence leaves it parked.
         """
         cls = size_class(size)
         chunk = self._take_chunk(cls)
         if chunk is not None:
-            return self._handle.pool.fulfilled(self._make_arena(chunk))
-        p = self._handle.pool.create()
-        self._waiters.append((cls, p))
-        self._maybe_refill()
-        return p
+            op.arena = self._make_arena(chunk)
+            self._handle.pool.defer(op)
+        else:
+            self._waiters.append((cls, op))
+            self._maybe_refill()
+        return op
 
-    def cancel_request(self, p) -> None:
-        """Drop a request whose caller gave up, if it still waits."""
-        self._waiters = deque(w for w in self._waiters if w[1] is not p)
-        self._handle.pool.abandon(p)
+    def withdraw(self, op) -> None:
+        """Drop a parked op whose caller gave up."""
+        self._waiters = deque(w for w in self._waiters if w[1] is not op)
 
     def free_arena(self, arena: Arena) -> None:
         if not arena.live:
@@ -139,8 +142,7 @@ class ArenaPool:
         total = int(raw)
         if total <= 0:
             return
-        p = self._handle.enclave_mmap(total)
-        self._handle.pool.then(p, self._split_prefill)
+        self._handle.enclave_mmap(total, self._split_prefill)
 
     def accounting(self) -> tuple[int, int, int]:
         """(received, in_bins, live) byte totals; received == in_bins + live."""
@@ -175,39 +177,35 @@ class ArenaPool:
     def _maybe_refill(self) -> None:
         if self._refill_inflight or not self._waiters:
             return
-        pool = self._handle.pool
-        if pool.max_outstanding - pool.outstanding < 3:  # grant, attach, then
-            return self._on_refill_failed("no promise slots")
-        need = sum(cls for cls, _ in self._waiters)
-        rsize = ((need + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
         self._refill_inflight = True
-        p = self._handle.enclave_mmap(rsize)
-        pool.then(p, self._on_refill, on_fail=self._on_refill_failed)
+        self._handle.enclave_mmap(sum(cls for cls, _ in self._waiters),
+                                  self._on_refill)
 
-    def _on_refill(self, block) -> None:
+    def _on_refill(self, block, refusal) -> None:
         self._refill_inflight = False
+        if refusal is not None:
+            while self._waiters:
+                self._waiters.popleft()[1].refuse(
+                    PoolExhausted(f"refill refused: {refusal}"))
+            return
         size = block.entry.size
         self.total_received += size
         offset = 0
         while self._waiters:
-            cls, p = self._waiters[0]
+            cls, op = self._waiters[0]
             if offset + cls > size:
                 break
             self._waiters.popleft()
-            chunk = _FreeChunk(block, offset, cls)
-            offset += cls
             self.total_in_bins += cls  # flows straight to live via _make_arena
-            self._handle.pool.fulfill(p, self._make_arena(chunk))
+            op.arena = self._make_arena(_FreeChunk(block, offset, cls))
+            offset += cls
+            self._handle.pool.resume(op)
         self._bin_chunks(block, offset, _greedy_classes(size - offset))
         self._maybe_refill()
 
-    def _on_refill_failed(self, error) -> None:
-        self._refill_inflight = False
-        while self._waiters:
-            _, p = self._waiters.popleft()
-            self._handle.pool.fail(p, PoolExhausted(f"refill refused: {error}"))
-
-    def _split_prefill(self, block) -> None:
+    def _split_prefill(self, block, refusal) -> None:
+        if refusal is not None:  # parked ops wait on their own refill
+            return
         size = block.entry.size
         self.total_received += size
         n16 = (3 * size // 4) // 16384
@@ -215,13 +213,14 @@ class ArenaPool:
         tail = size - n16 * 16384 - n4 * 4096
         self._bin_chunks(block, 0,
                          [16384] * n16 + [4096] * n4 + _greedy_classes(tail))
-        # a parked demand request may now be satisfiable
+        # a parked op may now be servable
         while self._waiters:
             chunk = self._take_chunk(self._waiters[0][0])
             if chunk is None:
                 break
-            _, p = self._waiters.popleft()
-            self._handle.pool.fulfill(p, self._make_arena(chunk))
+            op = self._waiters.popleft()[1]
+            op.arena = self._make_arena(chunk)
+            self._handle.pool.resume(op)
 
     def _bin_chunks(self, block, offset: int, classes: list[int]) -> None:
         """Bin consecutive chunks of `block` from `offset`, one per class."""

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import ring as ringmod
 from .config import PAGE_SIZE, SimConfig
-from .errors import EmptyConsume, Untranslatable
+from .errors import EmptyConsume, RegistrationRejected, Untranslatable
 from .records import DeliveryLog
 from .ring import Ring, Sqe
 from .shm import AddressSpace, MemoryWindow
@@ -61,6 +61,27 @@ class SharedBlock:
     window: MemoryWindow
 
 
+class _Grant:
+    """The caller tag of one grant request's correlation record, and no
+    promise: its completion is one ready-queue step that attaches the block
+    and hands it to landed(block, None), or a trusted-side refusal to
+    landed(None, refusal)."""
+
+    __slots__ = ("handle", "rsize", "region_id", "landed", "result")
+
+    def __init__(self, handle, rsize: int, region_id: int, landed):
+        self.handle, self.rsize, self.region_id = handle, rsize, region_id
+        self.landed = landed
+
+    def _resume(self, _pool) -> None:
+        try:
+            block = self.handle._attach_block(self.rsize, self.region_id,
+                                              self.result)
+        except (RegistrationRejected, Untranslatable) as refusal:
+            return self.landed(None, refusal)
+        self.landed(block, None)
+
+
 class RingHandle:
     """Per-enclave hardened view of one SQ/CQ ring pair."""
 
@@ -73,8 +94,10 @@ class RingHandle:
         self._kernel = kernel
         self.pool = pool
         self._drop_budget = cfg.drop_budget
-        # every in-flight record belongs to a pending promise, so the promise
-        # pool's cap also bounds the table
+        # the promise pool's cap also caps the table. A record belongs to a
+        # pending call, to an abandoned staged call until its completion
+        # lands, or to one of the arena pool's grants, which hold no promise
+        # (at most two: the launch grant and one refill)
         self._table_cap = cfg.max_outstanding_promises
         self._table: dict[int, _UserRecord] = {}  # in-flight records only
         self._next_internal = 1  # strictly monotonic, never reused
@@ -97,12 +120,13 @@ class RingHandle:
         """Translate, publish and record one submission, then ring the
         doorbell.
 
-        The caller tag (any private token; the promise pool passes the
-        promise) goes into the private table, never into shared memory; the
-        published user_data is a fresh internal id, returned as an opaque
-        receipt (usable with retire()). While the table or the ring is full
-        the submission is parked for pump_parked() instead, and the result
-        is None. An untranslatable buffer raises and changes nothing.
+        The caller tag (any private token: a promise, a staged call's op or
+        a grant record) goes into the private table, never into shared
+        memory; the published user_data is a fresh internal id, returned as
+        an opaque receipt (usable with retire()). While the table or the
+        ring is full the submission is parked for pump_parked() instead, and
+        the result is None. An untranslatable buffer raises and changes
+        nothing.
         """
         self._sq.begin_produce()
         try:
@@ -245,25 +269,25 @@ class RingHandle:
 
     # --- mapped-block acquisition (drives the host grant flow) ---
 
-    def enclave_mmap(self, size: int):
-        """Request a new shared block from the host; promise of SharedBlock.
+    def enclave_mmap(self, size: int, landed) -> None:
+        """Request a new shared block of `size` bytes, page-rounded, from the
+        host; one grant record is the caller tag, and no promise.
 
-        Submits the grant request; when the completion carries the proxy base,
-        the trusted side attaches the validated registration into the enclave
-        space and a translation entry is recorded. Host silence leaves the
-        promise pending forever; a trusted-side refusal fails it with
-        RegistrationRejected.
+        When the completion carries the proxy base, the trusted side attaches
+        the validated registration into the enclave space, records a
+        translation entry and calls landed(block, None). A trusted-side
+        refusal (RegistrationRejected, or Untranslatable for a negative
+        result) calls landed(None, refusal) instead; host silence never
+        calls it.
         """
         if size <= 0:
             raise ValueError("mmap size must be positive")
         rsize = ((size + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
         self._region_counter += 1
-        region_id = self._region_counter
-        raw = self.pool.create()
-        args = SqeArgs(fd=0, addr=0, len=rsize, off=region_id, translate=False)
-        self.prep_and_submit(ringmod.OP_ENCLAVE_MMAP, args, raw)
-        return self.pool.then(raw, lambda proxy_base: self._attach_block(
-            rsize, region_id, proxy_base))
+        grant = _Grant(self, rsize, self._region_counter, landed)
+        args = SqeArgs(fd=0, addr=0, len=rsize, off=grant.region_id,
+                       translate=False)
+        self.prep_and_submit(ringmod.OP_ENCLAVE_MMAP, args, grant)
 
     def _attach_block(self, rsize: int, region_id: int, proxy_base: int):
         if proxy_base < 0:

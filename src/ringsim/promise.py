@@ -1,12 +1,15 @@
 """Bounded promise pool and the async IO composition helpers.
 
 Promises here are deliberately austere: a state that moves from pending to
-exactly one of fulfilled/failed, and the continuations queued for when it
-does: `then` children with a one-argument callback, and staged calls, each an
-operation record that is its caller's promise. The pool caps outstanding
-promises and bounds continuation work per settle call; the rest waits for the
-next event-loop pump. Host silence never fails a promise; it just stays
-pending while the event loop keeps meeting its period.
+exactly one of fulfilled/failed, and nothing hangs on them. What waits is an
+operation record, the caller tag of one correlation record: a staged call,
+which is also the promise its caller sees, or an arena grant, which is no
+promise at all. Each step of a record (staging once its arena arrives,
+finishing once its completion lands) is one continuation on the pool's ready
+queue. The pool caps outstanding promises and bounds the continuations run
+per settle call; the rest waits for the next event-loop pump. Host silence
+never fails a promise; it just stays pending while the event loop keeps
+meeting its period.
 """
 from __future__ import annotations
 
@@ -23,33 +26,12 @@ FAILED = "failed"
 
 
 class Promise:
-    __slots__ = ("state", "value", "error", "_succ")
+    __slots__ = ("state", "value", "error")
 
     def __init__(self):
         self.state = PENDING
         self.value = None
         self.error = None
-        self._succ: list = []  # continuations queued when it settles
-
-
-class _Then(Promise):
-    """A promise settled by callback(parent.value) once parent settles."""
-
-    __slots__ = ("parent", "callback", "on_fail")
-
-    def _resume(self, pool: "PromisePool") -> None:
-        parent = self.parent
-        if self.state != PENDING:
-            return
-        if parent.state == FAILED:
-            if self.on_fail is not None:
-                self.on_fail(parent.error)
-            return pool._settle(self, FAILED, None, parent.error)
-        try:
-            result = self.callback(parent.value)
-        except Exception as exc:  # callback faults become failures
-            return pool._settle(self, FAILED, None, exc)
-        pool._settle(self, FULFILLED, result, None)
 
 
 def poll(p: Promise) -> str:
@@ -58,14 +40,15 @@ def poll(p: Promise) -> str:
 
 
 class PromisePool:
-    """Fixed-capacity allocator plus the settle/cascade engine."""
+    """Fixed-capacity allocator, settling, and the ready queue of operation
+    record steps."""
 
     def __init__(self, max_outstanding: int = 256, continuation_budget: int = 32):
         self.max_outstanding = max_outstanding
         self.continuation_budget = continuation_budget
         self.outstanding = 0
         self.stray_completions = 0
-        self._ready: deque = deque()  # continuations, each run by _resume
+        self._ready: deque = deque()  # operation records, each run by _resume
 
     # --- allocation ---
 
@@ -80,18 +63,6 @@ class PromisePool:
         self.fulfill(p, value)
         return p
 
-    def then(self, parent: Promise, callback: Callable,
-             on_fail: Callable | None = None) -> Promise:
-        """Successor of parent, settled with callback(parent.value); a parent
-        failure propagates, seen first by on_fail(error) when given."""
-        child = self.create(_Then)
-        child.parent, child.callback, child.on_fail = parent, callback, on_fail
-        self._after(parent, child)
-        return child
-
-    def _after(self, p: Promise, continuation) -> None:
-        (p._succ if p.state == PENDING else self._ready).append(continuation)
-
     # --- settling ---
 
     def _settle(self, p: Promise, state: str, value, error) -> None:
@@ -101,35 +72,28 @@ class PromisePool:
         p.value = value
         p.error = error
         self.outstanding -= 1
-        self._ready.extend(p._succ)
-        p._succ = []
 
     def fulfill(self, p: Promise, value) -> None:
         self._settle(p, FULFILLED, value, None)
-        self._drain(self.continuation_budget)
 
     def fail(self, p: Promise, error) -> None:
         self._settle(p, FAILED, None, error)
-        self._drain(self.continuation_budget)
 
     def abandon(self, p: Promise) -> None:
-        """Forget a pending promise (timeout path). The slot is released,
-        its continuations never run, and a late completion is a stray."""
+        """Forget a pending promise (timeout path). The slot is released at
+        once, and a late completion is a stray."""
         if p.state == PENDING:
-            self.outstanding -= 1
-            p.state = FAILED
-            p.error = "abandoned"
-            p._succ = []
+            self._settle(p, FAILED, None, "abandoned")
 
     def settle_from_cqe(self, completion) -> bool:
-        """Settle the promise a delivered completion was submitted with (its
-        caller tag). A staged call finishes as a continuation; any other
-        settles now, a negative result as a failure with the errno value."""
+        """Settle what a delivered completion was submitted with (its caller
+        tag). A plain promise settles now, a negative result as a failure
+        with the errno value; an operation record takes the result and
+        resumes from the ready queue."""
         p = completion.tag
-        if isinstance(p, _StagedOp):
+        if type(p) is not Promise:
             p.result = completion.result
-            self._ready.append(p)
-            self._drain(self.continuation_budget)
+            self.resume(p)
             return True
         if p.state != PENDING:
             self.stray_completions += 1
@@ -140,7 +104,17 @@ class PromisePool:
             self.fulfill(p, completion.result)
         return True
 
-    # --- continuation execution ---
+    # --- operation record steps ---
+
+    def defer(self, op) -> None:
+        """Queue op's next step for the next drain."""
+        self._ready.append(op)
+
+    def resume(self, op) -> None:
+        """Run op's next step now, behind the steps already queued, within
+        one settle call's budget."""
+        self._ready.append(op)
+        self._drain(self.continuation_budget)
 
     def run_deferred(self, budget: int | None = None) -> int:
         return self._drain(budget if budget is not None else self.continuation_budget)
@@ -162,35 +136,38 @@ class PromisePool:
 
 class _StagedOp(Promise):
     """One staged call's operation record and the promise its caller sees,
-    carried by its correlation record as caller tag. Staging (the arena
-    request settled) and finishing (the completion landed) are one
-    continuation each; finishing frees the arena."""
+    carried by its correlation record as caller tag. Staging (its arena
+    arrived) and finishing (its completion landed) are one ready-queue step
+    each; finishing frees the arena. `landed`, when set, sees the op once it
+    settled, after any arena went back (the shim's write-behind)."""
 
-    __slots__ = ("rt", "opcode", "args", "payload", "finish", "request",
-                 "arena", "result")
+    __slots__ = ("rt", "opcode", "args", "payload", "finish", "arena",
+                 "result", "landed")
 
     def _resume(self, pool: PromisePool) -> None:
-        if self.arena is None:  # the arena request settled
-            req = self.request
-            if req.state == FAILED:
-                if self.state == PENDING:
-                    pool._settle(self, FAILED, None, req.error)
-            elif self.state != PENDING:  # the caller gave up meanwhile
-                self.rt.arena_pool.free_arena(req.value)
-            else:
-                self.arena = arena = req.value
-                if self.payload is not None:
-                    arena.write(0, self.payload)
-                self.args.addr = arena.addr_of(0)
-                self.rt.submit_async(self.opcode, self.args, self)
+        if self.result is None:  # the arena arrived
+            if self.state != PENDING:  # the caller gave up meanwhile
+                return self.rt.arena_pool.free_arena(self.arena)
+            arena = self.arena
+            if self.payload is not None:
+                arena.write(0, self.payload)
+            self.args.addr = arena.addr_of(0)
+            self.rt.submit_async(self.opcode, self.args, self)
             return
-        if self.state == PENDING:  # else the caller gave up: deliver nothing
-            if self.result < 0:
-                pool._settle(self, FAILED, None, -self.result)
-            else:
-                pool._settle(self, FULFILLED,
-                             self.finish(self.arena, self.result), None)
+        pending = self.state == PENDING  # else the caller gave up
+        if pending and self.result < 0:
+            pool.fail(self, -self.result)
+        elif pending:
+            pool.fulfill(self, self.finish(self.arena, self.result))
         self.rt.arena_pool.free_arena(self.arena)
+        if pending and self.landed is not None:
+            self.landed(self)
+
+    def refuse(self, error) -> None:
+        """Fail the op while it waits for an arena: its grant was refused."""
+        self.rt.pool.fail(self, error)
+        if self.landed is not None:
+            self.landed(self)
 
 
 def _staged_op(rt, opcode: int, size: int, fd: int = 0, off: int = 0,
@@ -199,28 +176,23 @@ def _staged_op(rt, opcode: int, size: int, fd: int = 0, off: int = 0,
     """Promise of one call staged through an arena, which holds `size` bytes
     at offset 0, the submitted address; `payload`, when given, is copied in
     before submitting. finish(arena, result) gives the promise value."""
-    op = rt.pool.create(_StagedOp)  # first, so a refill counts its slot
-    try:
-        request = rt.arena_pool.request_arena(max(size, 1))
-    except PoolExhausted:
-        rt.pool.abandon(op)
-        raise
+    op = rt.pool.create(_StagedOp)
     op.rt, op.opcode, op.payload, op.finish = rt, opcode, payload, finish
     op.args = SqeArgs(fd=fd, len=size, off=off)
-    op.request, op.arena = request, None
-    rt.pool._after(request, op)
-    return op
+    op.arena = op.result = op.landed = None
+    return rt.arena_pool.request_arena(op, max(size, 1))
 
 
 def abandon(rt, p: Promise) -> None:
     """Give up on a pending call (timeout path): release its promise slot and
     retire its tag. A staged call's arena is freed at once if the call never
-    reached the ring, else by its late completion (the host owns it)."""
+    reached the ring, else by its late completion (the host owns it); one
+    still parked for an arena leaves the arena pool's queue."""
     staged = isinstance(p, _StagedOp)
     parked = rt.handle.retire_tag(p, published=not staged)
     rt.pool.abandon(p)
     if staged and p.arena is None:
-        rt.arena_pool.cancel_request(p.request)
+        rt.arena_pool.withdraw(p)
     elif staged and parked:
         rt.arena_pool.free_arena(p.arena)
 

@@ -20,10 +20,11 @@ else by its late completion; one that never comes holds a record, within
 the correlation table's cap, and that arena.
 
 The file facade stages writes privately and submits block-multiple chunks at
-tracked offsets with one write in flight per file; write errors surface on a
-later write/flush/close (deferred-error poisoning), which is what buffered
-POSIX io does. Pseudo files (size reported as device geometry at open) skip
-staging entirely.
+tracked offsets with one write in flight per file. That write is its staged
+op, whose `landed` hook submits the next chunk as the op settles; write
+errors surface on a later write/flush/close (deferred-error poisoning), which
+is what buffered POSIX io does. Pseudo files (size reported as device
+geometry at open) skip staging entirely.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from . import ring as ringmod
 from .config import EAGAIN, EBADF, EFAULT, EINTR, EIO, ENOMEM, ETIMEDOUT
 from .enclave import SqeArgs
 from .errors import PoolExhausted, RegistrationRejected, Untranslatable
-from .promise import (FULFILLED, PENDING, abandon, async_open, async_path_op,
-                      async_read, async_statx, async_write)
+from .promise import (FAILED, FULFILLED, PENDING, abandon, async_open,
+                      async_path_op, async_read, async_statx, async_write)
 
 
 def _errno_of(error) -> int | None:
@@ -104,7 +105,7 @@ class _ShimFile:
     read_pos: int = 0
     file_off: int = 0            # offset of the next unsubmitted staged byte
     staged: bytearray = field(default_factory=bytearray)
-    inflight: object = None      # at most one write promise per file
+    inflight: object = None      # at most one write op per file
     error: int = 0               # deferred errno; poisons later calls
 
 
@@ -199,22 +200,20 @@ class PosixShim:
         del f.staged[:n]
         at = f.file_off
         f.file_off += n
-        p = async_write(self.rt, f.fd, chunk, at)
+        f.inflight = async_write(self.rt, f.fd, chunk, at)
+        f.inflight.landed = lambda op: self._landed(f, op, tail)
 
-        def _landed(result):
-            f.inflight = None
-            if result < len(chunk):
-                f.error = -result if result < 0 else EIO  # short write
-            else:
-                self._maybe_submit(f, tail)
-            return result
-
-        def _lost(error):
-            f.inflight = None
-            errno = _errno_of(error)
+    def _landed(self, f: _ShimFile, op, tail: bool) -> None:
+        # the in-flight write settled: a failure or a short write poisons
+        # the file, else the next chunk goes out
+        f.inflight = None
+        if op.state == FAILED:
+            errno = _errno_of(op.error)
             f.error = EIO if errno is None else errno
-
-        f.inflight = self.rt.pool.then(p, _landed, on_fail=_lost)
+        elif op.value < op.args.len:
+            f.error = EIO
+        else:
+            self._maybe_submit(f, tail)
 
     def _deadline(self) -> int | None:
         # a drain times out in simulated time, as sync_call does

@@ -9,6 +9,7 @@ from __future__ import annotations
 from ringsim.config import PAGE_SIZE, SimConfig
 from ringsim.enclave import (Completion, RingHandle, SharedBlock,
                              TranslationEntry)
+from ringsim.errors import Untranslatable
 from ringsim.promise import PromisePool
 from ringsim.ring import (CQE_SIZE, SQE_SIZE, cq_ring_attach, cq_ring_init,
                           ring_region_bytes, sq_ring_attach, sq_ring_init)
@@ -69,7 +70,7 @@ def ring_world(cfg: SimConfig | None = None):
 class FakeHandle:
     """Stands in for RingHandle where only mmap grants and the pool matter.
 
-    enclave_mmap() returns a pending promise and queues the request; tests
+    enclave_mmap() queues the request as (page-rounded size, landed); tests
     settle requests explicitly with grant()/refuse() to script host behavior.
     """
 
@@ -80,10 +81,8 @@ class FakeHandle:
         self._espace = self._auth.create_space("encl", TRUSTED, 0x100000)
         self._next_base = 0x40000000
 
-    def enclave_mmap(self, size: int):
-        p = self.pool.create()
-        self.requests.append((size, p))
-        return p
+    def enclave_mmap(self, size: int, landed) -> None:
+        self.requests.append((pages_for(size) * PAGE_SIZE, landed))
 
     def make_block(self, size: int) -> SharedBlock:
         pages = self._auth.alloc_pages(pages_for(size), "encl", NORMAL, "grant")
@@ -94,24 +93,26 @@ class FakeHandle:
         return SharedBlock(TranslationEntry(m.base, proxy_base, size), win)
 
     def grant(self, index: int = 0) -> SharedBlock:
-        size, p = self.requests.pop(index)
+        size, landed = self.requests.pop(index)
         block = self.make_block(size)
-        self.pool.fulfill(p, block)
+        landed(block, None)
         self.pool.run_deferred()
         return block
 
     def refuse(self, index: int = 0, errno: int = 12):
-        _, p = self.requests.pop(index)
-        self.pool.fail(p, errno)
+        _, landed = self.requests.pop(index)
+        landed(None, Untranslatable(f"host refused grant: errno {errno}"))
         self.pool.run_deferred()
 
 
 class FakeRT:
     """Duck-typed runtime for promise-layer tests: records submissions as
-    (opcode, args, promise) and lets the test complete them by hand."""
+    (opcode, args, promise) and lets the test complete them by hand. It is
+    its own handle, whose submissions never park."""
 
     def __init__(self):
         self.pool = PromisePool()
+        self.handle = self
         self.submitted: list[tuple] = []
         self.cfg = SimConfig()
         self._now = 0
@@ -120,6 +121,9 @@ class FakeRT:
         p = self.pool.create() if op is None else op
         self.submitted.append((opcode, args, p))
         return p
+
+    def retire_tag(self, tag, published: bool = True) -> bool:
+        return False
 
     def complete(self, index: int, result: int) -> None:
         """Deliver the index-th submission's completion, as pump() would."""

@@ -6,21 +6,42 @@ import pytest
 from ringsim.arena import ArenaPool, _greedy_classes, size_class
 from ringsim.config import INIT_SHM_ENV, PAGE_SIZE, SIZE_CLASSES
 from ringsim.errors import ArenaFull, DoubleFree, PoolExhausted, UseAfterFree
-from ringsim.promise import FAILED, FULFILLED, PENDING
+from ringsim.promise import FAILED, PENDING, Promise, PromisePool
 
 from helpers import FakeHandle
 
-def _pool():
-    fh = FakeHandle()
+
+class _Op(Promise):
+    """A staged call as the arena pool sees it: op.arena arrives with its
+    staging step (counted here) queued, or a refused grant fails it."""
+
+    __slots__ = ("pool", "arena", "staged")
+
+    def _resume(self, _pool):
+        self.staged += 1
+
+    def refuse(self, error):
+        self.pool.fail(self, error)
+
+
+def _pool(cap: int = 256):
+    fh = FakeHandle(PromisePool(max_outstanding=cap))
     return ArenaPool(fh), fh
 
 
+def _request(pool, fh, size):
+    op = fh.pool.create(_Op)
+    op.pool, op.arena, op.staged = fh.pool, None, 0
+    assert pool.request_arena(op, size) is op
+    return op
+
+
 def _get(pool, fh, size):
-    p = pool.request_arena(size)
-    if p.state == PENDING:
+    op = _request(pool, fh, size)
+    if op.arena is None:
         fh.grant()
-    assert p.state == FULFILLED
-    return p.value
+    assert op.arena is not None
+    return op.arena
 
 
 def test_size_class_mapping():
@@ -83,35 +104,58 @@ def test_bins_are_lifo_and_cross_class():
 
 def test_cold_pool_parks_until_grant():
     pool, fh = _pool()
-    p = pool.request_arena(500)
-    assert p.state == PENDING and pool.waiting == 1
+    p = _request(pool, fh, 500)
+    assert p.arena is None and pool.waiting == 1
     assert fh.requests and fh.requests[0][0] == PAGE_SIZE
     fh.grant()
-    assert p.state == FULFILLED and p.value.capacity == 512
+    assert p.arena.capacity == 512 and p.staged == 1
+    assert p.state == PENDING             # the op is its caller's promise
     assert pool.waiting == 0
+
+
+def test_binned_request_queues_the_staging_step():
+    pool, fh = _pool()
+    pool.free_arena(_get(pool, fh, 256))
+    p = _request(pool, fh, 256)
+    assert p.arena is not None and p.staged == 0
+    assert fh.pool.deferred_count == 1    # staged at the next drain
+    fh.pool.run_deferred()
+    assert p.staged == 1 and fh.pool.outstanding == 2
+
+
+def test_withdrawn_op_leaves_the_queue_and_the_grant():
+    pool, fh = _pool()
+    p = _request(pool, fh, 100)
+    q = _request(pool, fh, 100)
+    pool.withdraw(p)
+    assert pool.waiting == 1
+    fh.grant()
+    assert p.arena is None and q.arena is not None
+    rec, bins, live = pool.accounting()
+    assert live == q.arena.capacity and rec == bins + live
 
 
 def test_refused_refill_fails_waiters():
     pool, fh = _pool()
-    p = pool.request_arena(100)
-    q = pool.request_arena(100)
+    p = _request(pool, fh, 100)
+    q = _request(pool, fh, 100)
     fh.refuse()
     assert p.state == FAILED and isinstance(p.error, PoolExhausted)
     assert q.state == FAILED
-    assert pool.waiting == 0
+    assert pool.waiting == 0 and fh.pool.outstanding == 0
 
 
 def test_single_refill_in_flight():
     pool, fh = _pool()
-    p = pool.request_arena(100)           # cls 256
-    q = pool.request_arena(5000)          # cls 8192
+    p = _request(pool, fh, 100)           # cls 256
+    q = _request(pool, fh, 5000)          # cls 8192
     assert len(fh.requests) == 1          # second request rides the first
     fh.grant()                            # 4096B: serves p, q does not fit
-    assert p.state == FULFILLED and q.state == PENDING
+    assert p.arena is not None and q.arena is None
     assert len(fh.requests) == 1          # follow-up refill for q
     assert fh.requests[0][0] == 8192
     fh.grant()
-    assert q.state == FULFILLED and q.value.capacity == 8192
+    assert q.arena.capacity == 8192
     rec, bins, live = pool.accounting()
     assert rec == 4096 + 8192 and rec == bins + live
 
@@ -123,8 +167,8 @@ def test_prefill_census():
     fh.grant()
     assert pool.bin_census() == {4096: 4, 16384: 3}
     assert pool.accounting() == (65536, 65536, 0)
-    p = pool.request_arena(1000)          # served from the 4096 bin
-    assert p.state == FULFILLED and p.value.capacity == 4096
+    p = _request(pool, fh, 1000)          # served from the 4096 bin
+    assert p.arena.capacity == 4096
 
 
 def test_prefill_env_absent_or_zero():
@@ -136,33 +180,33 @@ def test_prefill_env_absent_or_zero():
 
 def test_prefill_grant_serves_parked_demand():
     pool, fh = _pool()
-    p = pool.request_arena(1000)          # queues a demand refill first
+    p = _request(pool, fh, 1000)          # queues a demand refill first
     pool.prefill({INIT_SHM_ENV: "65536"})
     assert len(fh.requests) == 2
     fh.grant(1)                           # prefill lands before the refill
-    assert p.state == FULFILLED and p.value.capacity == 4096
+    assert p.arena.capacity == 4096 and p.staged == 1
     fh.grant(0)                           # late refill goes entirely to bins
     rec, bins, live = pool.accounting()
     assert rec == 65536 + 4096 and rec == bins + live
 
 
 def test_conservation_under_random_traffic():
-    pool, fh = _pool()
+    pool, fh = _pool(cap=600)             # every op stays pending
     rng = random.Random(23)
     live = []
     pending = []
     for _ in range(600):
         r = rng.random()
         if r < 0.45:
-            pending.append(pool.request_arena(rng.randrange(1, 20000)))
+            pending.append(_request(pool, fh, rng.randrange(1, 20000)))
         elif r < 0.7 and fh.requests:
             fh.grant(rng.randrange(len(fh.requests)))
         elif live:
             pool.free_arena(live.pop(rng.randrange(len(live))))
         still = []
         for p in pending:
-            if p.state == FULFILLED:
-                live.append(p.value)
+            if p.arena is not None:
+                live.append(p.arena)
             else:
                 still.append(p)
         pending = still
@@ -171,4 +215,4 @@ def test_conservation_under_random_traffic():
         assert used == sum(a.capacity for a in live)
     while fh.requests:
         fh.grant()
-    assert all(p.state == FULFILLED for p in pending)
+    assert all(p.arena is not None for p in pending)

@@ -1,48 +1,14 @@
-"""Promise pool: bounded allocation, ordered cascades, failure propagation."""
+"""Promise pool: bounded allocation, settling once, and the per-settle budget
+of the operation records' ready-queue steps."""
 import pytest
 
 from ringsim.arena import ArenaPool
+from ringsim.config import INIT_SHM_ENV
 from ringsim.errors import PoolExhausted
 from ringsim.promise import (FAILED, FULFILLED, PENDING, PromisePool,
                              async_read, async_write, poll)
 
 from helpers import FakeHandle, FakeRT
-
-
-def test_chain_runs_in_order():
-    pool = PromisePool()
-    order = []
-    root = pool.create()
-    c1 = pool.then(root, lambda v: order.append(("c1", v)) or v + 1)
-    c2 = pool.then(c1, lambda v: order.append(("c2", v)) or v + 1)
-    c3 = pool.then(c2, lambda v: order.append(("c3", v)) or v + 1)
-    pool.fulfill(root, 10)
-    assert order == [("c1", 10), ("c2", 11), ("c3", 12)]
-    assert c3.state == FULFILLED and c3.value == 13
-
-
-def test_failure_short_circuits_chain():
-    pool = PromisePool()
-    ran = []
-    cleanup = []
-    root = pool.create()
-    c1 = pool.then(root, lambda v: ran.append(1),
-                   on_fail=lambda e: cleanup.append(e))
-    c2 = pool.then(c1, lambda v: ran.append(2))
-    pool.fail(root, 110)
-    assert ran == []                      # callbacks never run on failure
-    assert cleanup == [110]               # on_fail observed the error
-    assert c1.state == c2.state == FAILED
-    assert c2.error == 110
-
-
-def test_callback_exception_becomes_failure():
-    pool = PromisePool()
-    root = pool.create()
-    c = pool.then(root, lambda v: 1 // 0)
-    pool.fulfill(root, 1)
-    assert c.state == FAILED
-    assert isinstance(c.error, ZeroDivisionError)
 
 
 def test_pool_capacity_counting():
@@ -87,34 +53,6 @@ def test_poll_states_and_constant_cost():
     assert poll(p) == FULFILLED
 
 
-def test_continuation_budget_defers_excess():
-    pool = PromisePool(continuation_budget=32)
-    ran = []
-    root = pool.create()
-    for i in range(40):                   # fan-out of 40 direct children
-        pool.then(root, lambda v, i=i: ran.append(i))
-    pool.fulfill(root, None)
-    assert len(ran) == 32                 # budget per settle call
-    assert pool.deferred_count == 8
-    pool.run_deferred()
-    assert len(ran) == 40 and ran == list(range(40))
-    assert pool.deferred_count == 0
-
-
-def test_linear_chain_budget():
-    pool = PromisePool(continuation_budget=4)
-    ran = []
-    root = pool.create()
-    prev = root
-    for i in range(10):
-        prev = pool.then(prev, lambda v, i=i: ran.append(i))
-    pool.fulfill(root, None)
-    assert len(ran) == 4
-    while pool.deferred_count:
-        pool.run_deferred(budget=4)
-    assert ran == list(range(10))
-
-
 class _C:
     def __init__(self, tag, result):
         self.tag = tag
@@ -138,12 +76,52 @@ def test_settle_from_cqe():
 
 # --- IO composition over a fake runtime ---
 
-def _rt_with_arena():
-    fh = FakeHandle()
+def _rt_with_arena(prefill: int = 0, budget: int = 32):
+    fh = FakeHandle(PromisePool(continuation_budget=budget))
     rt = FakeRT()
     rt.pool = fh.pool
     rt.arena_pool = ArenaPool(fh)
+    if prefill:
+        rt.arena_pool.prefill({INIT_SHM_ENV: str(prefill)})
+        fh.grant()
     return rt, fh
+
+
+def test_continuation_budget_defers_excess():
+    # 40 binned writes queue 40 staging steps; one drain, a settle's budget,
+    # stages 32 of them and defers 8, which the next drain stages in order
+    rt, _ = _rt_with_arena(prefill=1 << 20)
+    ops = [async_write(rt, 3, b"x", off=i) for i in range(40)]
+    assert rt.pool.deferred_count == 40 and rt.submitted == []
+    assert rt.pool.run_deferred() == 32
+    assert len(rt.submitted) == 32 and rt.pool.deferred_count == 8
+    rt.pool.run_deferred()
+    assert [s[2] for s in rt.submitted] == ops
+    assert rt.pool.deferred_count == 0
+
+
+def test_linear_chain_budget():
+    # a chain of 10 writes, each issued by the landed hook of the one before:
+    # one completion's settle runs that write's finish and, if the budget
+    # leaves room, the staging of the next
+    for budget, next_waits in ((1, 1), (2, 0)):
+        rt, _ = _rt_with_arena(prefill=65536, budget=budget)
+        ops = []
+
+        def issue(i):
+            op = async_write(rt, 3, b"x", off=i)
+            op.landed = lambda _op: i < 9 and issue(i + 1)
+            ops.append(op)
+
+        issue(0)
+        rt.pool.run_deferred()
+        for i in range(10):
+            assert len(rt.submitted) == i + 1
+            rt.complete(i, 1)
+            assert rt.pool.deferred_count == (next_waits if i < 9 else 0)
+            rt.pool.run_deferred()
+        assert [s[2] for s in rt.submitted] == ops
+        assert all(op.state == FULFILLED and op.value == 1 for op in ops)
 
 
 def test_zero_byte_write_skips_rings():

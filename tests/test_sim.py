@@ -6,7 +6,7 @@ from ringsim.config import SimConfig
 from ringsim.enclave import RingHandle, SqeArgs
 from ringsim.errors import RegistrationRejected, Untranslatable
 from ringsim.host import AdversaryPolicy
-from ringsim.promise import (FAILED, FULFILLED, PENDING, PromisePool,
+from ringsim.promise import (FULFILLED, PENDING, PromisePool,
                              async_open, async_read, poll)
 from ringsim.ring import Cqe, Ring
 from ringsim.shim import sync_call
@@ -43,17 +43,33 @@ def test_spawn_and_getpid_roundtrip():
     assert sim.host._wake_seen > 0         # doorbell page was read
 
 
+def _mmap(rt, out, sizes, rounds=300):
+    """Request one grant per size; out["grants"] gets what each grant
+    landed with, (block, None) or (None, refusal), in request order."""
+    landed = [None] * len(sizes)
+    for i, size in enumerate(sizes):
+        rt.handle.enclave_mmap(
+            size, lambda block, refusal, i=i: landed.__setitem__(
+                i, (block, refusal)))
+    for _ in range(rounds):
+        if None not in landed:
+            break
+        yield ("compute", 2000)
+        rt.pump()
+    out["grants"] = landed
+
+
 def test_enclave_mmap_attaches_and_translates():
     sim = app_sim(MANIFEST)
 
     def body(rt, out):
-        p = rt.handle.enclave_mmap(8192)
-        yield from _settle(rt, out, [p])
-        out["block"] = p.value
+        yield from _mmap(rt, out, [8192])
 
     rt, out = spawn_app(sim, body)
     sim.run_until(2_000_000)
-    blk = out["block"]
+    [(blk, refusal)] = out["grants"]
+    assert refusal is None
+    assert rt.pool.outstanding == 0       # a grant holds no promise slot
     assert blk.entry.size == 8192
     blk.window.write(100, b"cross-world")
     proxy_view = sim.host.proxy_space.access(blk.entry.proxy_base + 100, 11, "r")
@@ -66,16 +82,14 @@ def test_two_enclaves_grants_do_not_collide():
     sim = app_sim(MANIFEST)
 
     def body(rt, out):
-        p = rt.handle.enclave_mmap(4096)
-        yield from _settle(rt, out, [p])
-        out["block"] = p.value
+        yield from _mmap(rt, out, [4096])
 
     rt1, out1 = spawn_app(sim, body, name="a", budget=20_000)
     rt2, out2 = spawn_app(sim, body, name="b", budget=20_000)
     sim.run_until(3_000_000)
-    assert out1["states"] == [FULFILLED] and out2["states"] == [FULFILLED]
-    b1, b2 = out1["block"].entry, out2["block"].entry
-    assert b1.proxy_base != b2.proxy_base
+    [(b1, r1)], [(b2, r2)] = out1["grants"], out2["grants"]
+    assert r1 is None and r2 is None
+    assert b1.entry.proxy_base != b2.entry.proxy_base
 
 
 def test_kernel_region_cap_refuses_attach():
@@ -83,17 +97,14 @@ def test_kernel_region_cap_refuses_attach():
     sim.kernel.max_regions_per_owner = 3   # 2 consumed by the ring pair
 
     def body(rt, out):
-        p1 = rt.handle.enclave_mmap(4096)
-        p2 = rt.handle.enclave_mmap(4096)
-        yield from _settle(rt, out, [p1, p2])
-        out["errs"] = [p.error for p in (p1, p2)]
+        yield from _mmap(rt, out, [4096, 4096])
 
     rt, out = spawn_app(sim, body)
     sim.run_until(3_000_000)
     # service jitter may reorder the grants; exactly one lands under the cap
-    assert sorted(out["states"]) == [FAILED, FULFILLED]
-    failed = out["errs"][out["states"].index(FAILED)]
-    assert isinstance(failed, RegistrationRejected)
+    refusals = [r for _, r in out["grants"]]
+    assert sorted(r is None for r in refusals) == [False, True]
+    assert any(isinstance(r, RegistrationRejected) for r in refusals)
 
 
 def test_lying_registration_is_refused_trusted_side():
@@ -101,14 +112,12 @@ def test_lying_registration_is_refused_trusted_side():
 
     def body(rt, out):
         # two pages: the duplicate-page registration attack needs >= 2
-        p = rt.handle.enclave_mmap(8192)
-        yield from _settle(rt, out, [p])
-        out["err"] = p.error
+        yield from _mmap(rt, out, [8192])
 
     rt, out = spawn_app(sim, body)
     sim.run_until(3_000_000)
-    assert out["states"] == [FAILED]
-    assert isinstance(out["err"], RegistrationRejected)
+    [(blk, refusal)] = out["grants"]
+    assert blk is None and isinstance(refusal, RegistrationRejected)
     # host reported a bogus success yet nothing got validated or mapped
     assert not any(e[0] == "reg_atomic" and not e[2] for e in sim.host.events)
     assert rt.handle._entries_list == []

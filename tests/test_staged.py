@@ -1,7 +1,7 @@
 """Staged calls: one operation record each, which is the promise its caller
 sees. When a caller gives up nothing leaks, and the host keeps a published
 call's arena until that call's completion lands (the io_uring buffer rule)."""
-from ringsim.config import ENOMEM, ETIMEDOUT, INIT_SHM_ENV, SimConfig
+from ringsim.config import ETIMEDOUT, INIT_SHM_ENV, SimConfig
 from ringsim.host import AdversaryPolicy
 from ringsim.promise import abandon, async_open, async_read, async_write
 from ringsim.enclave import SqeArgs
@@ -24,9 +24,9 @@ def _pump_until(rt, t):
         rt.pump()
 
 
-def test_staged_read_creates_two_promises():
-    # the arena request (binned: fulfilled at once) and the one promise the
-    # caller sees
+def test_staged_read_creates_one_promise():
+    # the op is the one promise the caller sees; its arena request, binned
+    # here, makes none
     def body(rt, out):
         fd = yield from _open(rt)
         create = rt.pool.create
@@ -45,12 +45,13 @@ def test_staged_read_creates_two_promises():
     rt, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
     sim.run_until(5_000_000)
     assert out.get("done") and len(out["data"]) == 64
-    assert out["creates"] == 2
+    assert out["creates"] == 1
 
 
 def test_staging_is_a_deferred_continuation():
-    # a staged call publishes from the continuation queue: inside the next
-    # call's arena request (its drain) or at the next pump, never at once
+    # a staged call publishes from the continuation queue at the next drain
+    # (here the pump), never at once: a later call's binned arena request
+    # drains nothing
     def body(rt, out):
         fd = yield from _open(rt)
         submit = rt.handle.prep_and_submit
@@ -73,7 +74,7 @@ def test_staging_is_a_deferred_continuation():
     sim = app_sim(MANIFEST)
     rt, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
     sim.run_until(5_000_000)
-    assert out.get("done") and out["seen"] == [(0, 1), (1, 1), (2, 0)]
+    assert out.get("done") and out["seen"] == [(0, 1), (0, 2), (2, 0)]
 
 
 def test_abandon_before_staging_frees_the_arena_and_submits_nothing():
@@ -239,21 +240,35 @@ def test_a_retired_record_lets_a_parked_call_go_out_at_once():
     assert out["ticks"] == 1 and out["parked"] == 0
 
 
-def test_a_refill_without_promise_slots_fails_the_open_with_enomem():
-    # the launch grant's request holds three promise slots until it lands.
-    # Under a cap of 7 the open's operation record and arena request leave
-    # two, fewer than a refill takes (its grant's two and the pool's then):
-    # the refill is refused before it submits anything, and the open gets
-    # -ENOMEM instead of PoolExhausted escaping the task body. A cap of 8
-    # leaves room for the refill, and the open gets its fd.
+def test_the_first_open_fits_every_promise_cap():
+    # grants hold no promise slot, so the open's operation record is the only
+    # slot the first open after a 64 KiB launch grant takes: from a cap of 1
+    # up it gets fd 3, and no exception escapes the run
     def body(rt, out):
         out["fd"] = yield from sync_call(rt, async_open(rt, b"/data/f"),
                                          1_000_000)
 
-    for cap, want, grants in ((7, -ENOMEM, 1), (8, 3, 2)):
+    for cap in range(1, 10):
         sim = app_sim(MANIFEST, cfg=SimConfig(max_outstanding_promises=cap))
         rt, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
         sim.run_until(3_000_000)
-        assert out["fd"] == want, cap
-        assert sum(e[0] == "sqe" and e[3] == "enclave_mmap"
-                   for e in sim.host.events) == grants, cap
+        assert out["fd"] == 3, cap
+        assert rt.pool.outstanding == 0, cap
+
+
+def test_denied_grants_hold_no_promise_slot():
+    # the host never answers a grant: the open parks for its arena and
+    # times out, and neither grant (launch or refill) holds a slot
+    policy = AdversaryPolicy(per_op={"enclave_mmap": ("deny",)})
+
+    def body(rt, out):
+        out["fd"] = yield from sync_call(rt, async_open(rt, b"/data/f"),
+                                         1_000_000)
+        out["after"] = (rt.pool.outstanding, rt.arena_pool.waiting,
+                        rt.arena_pool.accounting(), len(rt.handle._table))
+
+    sim = app_sim(MANIFEST, policy=policy)
+    rt, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
+    sim.run_until(3_000_000)
+    assert out["fd"] == -ETIMEDOUT
+    assert out["after"] == (0, 0, (0, 0, 0), 2)  # the two grants' records
