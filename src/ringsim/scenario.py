@@ -115,12 +115,14 @@ def _is_corrupting(adv: dict) -> bool:
 
 # --- the availability victim ---
 
-def _victim_factory(msg_path: str, expected: bytes, tau: int, fallback_at: int):
+def _victim_factory(msg_path: str, expected: bytes, tau: int, fallback_at: int,
+                    payloads: list):
     """Reader that must emit *something* trustworthy by the horizon.
 
     Retries open/read with per-call timeouts, validates content against the
     provisioned copy, transmits the message on a clean read, or an explicit
-    fault notice once the fallback instant passes.
+    fault notice once the fallback instant passes. Every payload a read
+    delivered goes to `payloads`, the oracles' enclave-side ground truth.
     """
 
     def factory(rt):
@@ -140,6 +142,7 @@ def _victim_factory(msg_path: str, expected: bytes, tau: int, fallback_at: int):
                 data = yield from sync_call(
                     rt, async_read(rt, fd, size, 0), tau)
                 if isinstance(data, (bytes, bytearray)):
+                    payloads.append(bytes(data))
                     if bytes(data) == expected:
                         rt.device_tx(bytes(data))
                         done = True
@@ -181,28 +184,22 @@ def _build_game_sim(sc: dict, policy: AdversaryPolicy):
     if msg_path not in sim.vfs.files:
         raise ValueError(f"message {msg_path} not in the vfs manifest")
     expected = bytes(sim.vfs.files[msg_path].data)
+    payloads: list[bytes] = []
     sim.add_host_task(period=period, budget=period - budget, priority=0)
     env = {}
     if task.get("init_shm"):
         env[INIT_SHM_ENV] = task["init_shm"]
     rt = sim.spawn_enclave("victim", period, budget,
                            _victim_factory(msg_path, expected, tau,
-                                           fallback_at),
+                                           fallback_at, payloads),
                            env=env, priority=5)
-    return sim, rt, expected, msg_path, horizon
+    return sim, rt, expected, msg_path, horizon, payloads
 
 
-def _classify_tx(device, name: str, horizon: int, expected: bytes):
-    txs = [e for e in device.transmissions_before(horizon) if e[1] == name]
-    kinds = []
-    for _t, _s, payload in txs:
-        if payload == expected:
-            kinds.append("message")
-        elif payload == FALLBACK:
-            kinds.append("fallback")
-        else:
-            kinds.append("forged")
-    return txs, kinds
+def _classify_tx(device, name: str, horizon: int, expected: bytes) -> list:
+    return ["message" if p == expected else "fallback" if p == FALLBACK
+            else "forged"
+            for _t, s, p in device.transmissions_before(horizon) if s == name]
 
 
 def _arrival_by(host, msg_path: str, size: int, cutoff: int) -> bool:
@@ -221,9 +218,9 @@ def _arrival_by(host, msg_path: str, size: int, cutoff: int) -> bool:
 def _run_game1(text: str):
     sc = parse_scenario(text)
     policy = _policy_from(sc["adversary"])
-    sim, rt, expected, msg_path, horizon = _build_game_sim(sc, policy)
+    sim, rt, expected, msg_path, horizon, _ = _build_game_sim(sc, policy)
     sim.run_until(horizon)
-    _txs, kinds = _classify_tx(sim.device, "victim", horizon, expected)
+    kinds = _classify_tx(sim.device, "victim", horizon, expected)
     arrival = _arrival_by(sim.host, msg_path, len(expected), horizon // 2)
     ok_live = kinds in (["message"], ["fallback"])
     corrupting = _is_corrupting(sc["adversary"])
@@ -238,6 +235,7 @@ def _run_game1(text: str):
         "detections": rt.detections,
         "ok": bool(ok_live and ok_strict),
     }
+    sim.close()
     return row, sim
 
 
@@ -297,13 +295,13 @@ def _run_game2(text: str):
     sc = parse_scenario(text)
     hostile = _policy_from(sc["adversary"])
     honest = AdversaryPolicy()
-    sim_h, rt_h, expected, msg_path, horizon = _build_game_sim(sc, hostile)
+    sim_h, rt_h, expected, _, horizon, payloads = _build_game_sim(sc, hostile)
     sim_h.run_until(horizon)
-    sim_t, rt_t, _, _, _ = _build_game_sim(sc, honest)
+    sim_t = _build_game_sim(sc, honest)[0]
     sim_t.run_until(horizon)
 
-    _txs, kinds_h = _classify_tx(sim_h.device, "victim", horizon, expected)
-    _txs, kinds_t = _classify_tx(sim_t.device, "victim", horizon, expected)
+    kinds_h = _classify_tx(sim_h.device, "victim", horizon, expected)
+    kinds_t = _classify_tx(sim_t.device, "victim", horizon, expected)
     # outputs under attack are a subset of honest outputs plus the fault notice
     ok_subset = all(k in ("fallback",) or k in kinds_t for k in kinds_h) \
         and "forged" not in kinds_h and kinds_t == ["message"]
@@ -315,10 +313,8 @@ def _run_game2(text: str):
     ok_atomic = all(e[2] for e in atomics)
     if attack:
         ok_atomic = ok_atomic and len(rejects) >= 1
-    tampered = sum(1 for e in sim_h.host.events
-                   if e[0] == "read_payload" and not e[5])
-    ok_detect = rt_h.detections <= tampered
-    return {
+    ok_detect = rt_h.detections == sum(p != expected for p in payloads)
+    row = {
         "name": sc["scenario"].get("name", "?"),
         "kind": "game2",
         "attack": attack or "transforms",
@@ -329,7 +325,10 @@ def _run_game2(text: str):
         "ok_atomic": ok_atomic,
         "ok_detect": ok_detect,
         "ok": bool(ok_subset and ok_unique and ok_atomic and ok_detect),
-    }, sim_h, sim_t
+    }
+    sim_h.close()
+    sim_t.close()
+    return row, sim_h, sim_t
 
 
 def run_game2(text: str) -> dict:
@@ -435,6 +434,7 @@ def run_bench(mode: str, seed: int = 7) -> dict:
     sim.spawn_enclave("bench", 200_000, 100_000, factory,
                       env={INIT_SHM_ENV: "262144"}, priority=5)
     sim.run_until(200_000_000)
+    sim.close()
     if "elapsed" not in result:
         raise RuntimeError(f"bench {mode} never finished")
     nbytes = _BENCH_CHUNKS * _BENCH_CHUNK
@@ -563,6 +563,7 @@ def run_fuzz(seed: int, iterations: int, cfg: SimConfig | None = None) -> dict:
                     pass
         mon.disarm()
         violations += len(mon.violations)
+        sim.close()
     return {
         "iterations": iterations,
         "seed": seed,

@@ -65,8 +65,8 @@ class SharedRegistration:
 class Extent:
     """The bytes of one allocation's pages, end to end; every mapping and
     window is one range of one extent. Broken once any of its pages is
-    freed: its offsets then no longer name live pages, and every window on
-    it faults."""
+    freed: its offsets then no longer name live pages, every window on it
+    faults, and it drops its bytes (`buf` is None) at once."""
 
     __slots__ = ("buf", "page_ids", "broken")
 
@@ -243,11 +243,11 @@ class MemoryWindow:
 class AddressSpace:
     """Per-party virtual address space: an ordered set of disjoint mappings."""
 
-    def __init__(self, owner: str, world: str, authority: "MemoryAuthority",
+    def __init__(self, owner: str, world: str, monitor: AccessMonitor,
                  base_hint: int = 0x10000):
         self.owner = owner
         self.world = world
-        self._authority = authority
+        self._monitor = monitor
         self._maps: list[Mapping] = []  # sorted by base
         self._next_base = base_hint
 
@@ -296,7 +296,7 @@ class AddressSpace:
             raise BusFault(f"{self.owner}: mapping at {m.base:#x} lacks '{mode}'")
         if self.world == NORMAL and m.pages_world == TRUSTED:
             raise BusFault(f"{self.owner}: normal-world access to trusted pages")
-        return MemoryWindow(self, vaddr, length, self._authority.monitor,
+        return MemoryWindow(self, vaddr, length, self._monitor,
                             m.extent, m.extent_off + vaddr - m.base)
 
 
@@ -340,13 +340,16 @@ class MemoryAuthority:
         return ids
 
     def free_pages(self, page_ids: list[int], owner: str) -> None:
+        """Free pages `owner` holds, all checked before any goes. Each one's
+        allocation breaks and drops its bytes, even while windows name it."""
         for pid in page_ids:
             info = self.table.entries.get(pid)
             if info is None or info.owner != owner:
                 raise BusFault(f"free of page {pid} not owned by {owner}")
         for pid in sorted(page_ids, reverse=True):
             del self.table.entries[pid]
-            self._extents.pop(pid).broken = True
+            ext = self._extents.pop(pid)
+            ext.broken, ext.buf = True, None
             self._free.append(pid)
         self.table.credit(owner, len(page_ids))
 
@@ -363,7 +366,7 @@ class MemoryAuthority:
     # --- address spaces ---
 
     def create_space(self, owner: str, world: str, base_hint: int = 0x10000) -> AddressSpace:
-        sp = AddressSpace(owner, world, self, base_hint)
+        sp = AddressSpace(owner, world, self.monitor, base_hint)
         self.spaces.append(sp)
         return sp
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ringsim import cli
+from ringsim import cli, scenario
 from ringsim.config import SimConfig, step_bounds
 from ringsim.scenario import (generate_game1, generate_game2, parse_scenario,
                               render_scenario, report_lines, run_bench,
@@ -82,6 +82,20 @@ def test_golden_scenarios():
                 assert row["detections"] > 0
         seen.add(path.stem)
     assert set(EXPECT_TX) <= seen
+
+
+def test_game2_detection_oracle_counts_what_the_enclave_received():
+    # row 75 scribbles at rate 0.2: the host wrote the payload cleanly, a
+    # scribble corrupted it in the arena, and the victim refused it. By the
+    # host's own account nothing was tampered with, yet the detection is
+    # right, so the oracle counts the payloads the enclave received.
+    texts = generate_game2(8_000_003, 300)
+    row, sim_h, _ = scenario._run_game2(texts[75])
+    assert row["ok"] and row["ok_detect"], row
+    assert sim_h.runtimes["victim"].detections >= 1
+    assert not any(e[0] == "read_payload" and not e[5]
+                   for e in sim_h.host.events)
+    assert [r["name"] for r in map(run_game2, texts) if not r["ok"]] == []
 
 
 def test_generated_corpus_is_deterministic():

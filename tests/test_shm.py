@@ -318,6 +318,38 @@ def test_digest_tracks_metadata_not_payload():
     assert auth.state_digest() != d0      # metadata changes visible
 
 
+def _every_access_faults(w):
+    rec = struct.Struct("<I")
+    for access in (lambda: w.read(0, 1), lambda: w.write(0, b"x"),
+                   lambda: w.unpack(rec, 0), lambda: w.pack(rec, 0, 1)):
+        with pytest.raises(BusFault, match="over freed pages"):
+            access()
+
+
+def test_free_drops_the_extent_bytes_while_windows_still_name_it():
+    # a shared grant mapped into two spaces, windows held on both sides;
+    # freeing one page of the allocation gives back all of its bytes
+    auth = MemoryAuthority()
+    pages = auth.alloc_pages(3, "proxy", NORMAL, "shm")
+    auth.register_shared(pages, 7, 3 * PAGE_SIZE)
+    host = auth.create_space("proxy", NORMAL)
+    enclave = auth.create_space("enc", TRUSTED, base_hint=0x100000)
+    hm, em = auth.map_region(host, 7), auth.map_region(enclave, 7)
+    assert hm.extent is em.extent
+    windows = [host.access(hm.base, hm.size, "rw"),
+               host.access(hm.base + PAGE_SIZE, 16, "rw"),
+               enclave.access(em.base + 2 * PAGE_SIZE, PAGE_SIZE, "rw")]
+    windows[0].write(0, b"\xa5" * hm.size)
+    auth.free_pages([pages[1]], "proxy")
+    assert em.extent.broken and em.extent.buf is None
+    for w in windows:
+        _every_access_faults(w)
+    # the other two pages stay allocated until freed, and free cleanly
+    assert sorted(auth.table.entries) == [pages[0], pages[2]]
+    auth.free_pages([pages[0], pages[2]], "proxy")
+    assert not auth.table.entries and auth.table.used["proxy"] == 0
+
+
 # --- windows against a flat byte model ---
 
 RECORDS = [struct.Struct(f) for f in ("<I", "<II", "<QiI", "<QQ", "<BBiQIQQ30x")]
@@ -457,5 +489,9 @@ def test_window_matches_flat_model(case):
             mode = "r" if kind in ("read", "unpack") else "w"
             assert calls[before:] == [(m.base + skew + off, n, mode,
                                        _span_pages(skew, wids, off, n))]
-        # the mapped bytes, read from the extent without the monitor
-        assert m.extent.buf[m.extent_off:m.extent_off + m.size] == model
+        # the mapped bytes, read from the extent without the monitor; a
+        # freed allocation holds none
+        if freed is None:
+            assert m.extent.buf[m.extent_off:m.extent_off + m.size] == model
+        else:
+            assert m.extent.buf is None

@@ -1,8 +1,14 @@
-"""Whole-platform wiring: launch flow, grant attach, liveness under silence."""
+"""Whole-platform wiring: launch flow, grant attach, liveness under silence,
+teardown."""
+import gc
+import tracemalloc
+
 import pytest
 
 from ringsim import ring as ringmod
-from ringsim.config import SimConfig
+from ringsim import scenario
+from ringsim.config import INIT_SHM_ENV, SimConfig
+from ringsim.errors import BusFault
 from ringsim.enclave import RingHandle, SqeArgs
 from ringsim.errors import RegistrationRejected, Untranslatable
 from ringsim.host import AdversaryPolicy
@@ -12,6 +18,7 @@ from ringsim.ring import Cqe, Ring
 from ringsim.shim import sync_call
 
 from helpers import app_sim, spawn_app
+from test_golden import _recorded_sims
 
 MANIFEST = "/data/\n/data/f 4096 512 0\n"
 
@@ -342,3 +349,83 @@ def test_poll_wait_loads_the_backlog_again_after_a_yield():
     sim.host.rings["app"][1].produce(Cqe(1 << 63, 0, 0))
     sim.run_until(200_000)
     assert out["ticks"] == 1  # one busy-poll tick: there is news to drain
+
+
+# --- teardown: close() gives back every page at once ---
+
+def _holds_no_bytes(sim) -> bool:
+    a = sim.authority
+    return not a.table.entries and not a._extents and all(
+        m.extent.buf is None for sp in a.spaces for m in sp.mappings())
+
+
+def test_close_frees_every_page_keeps_the_records_and_is_idempotent():
+    sim = app_sim(MANIFEST)
+
+    def body(rt, out):
+        fd = yield from sync_call(rt, async_open(rt, b"/data/f"), 1_000_000)
+        for i in range(4):
+            out[i] = yield from sync_call(rt, async_read(rt, fd, 512, i * 512),
+                                          1_000_000)
+        rt.device_tx(b"done")
+
+    rt, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
+    sim.run_until(3_000_000)
+    assert all(len(out[i]) == 512 for i in range(4))
+    # fresh windows over every mapping, plus those the platform holds
+    windows = [sp.access(m.base, m.size, "r")
+               for sp in sim.authority.spaces for m in sp.mappings()]
+    windows += sim.host.scribble_targets + [sim.host.wake_window]
+    assert len(sim.authority.spaces) == 3 and len(windows) > 6
+
+    def seen():
+        return (list(sim.sched.trace), list(sim.host.events),
+                list(rt.handle.delivered_log), list(sim.device.tx_log),
+                rt.arena_pool.accounting(), sim.authority.monitor.access_count)
+
+    before = seen()
+    sim.close()
+    assert seen() == before and _holds_no_bytes(sim)
+    assert not any(sim.authority.table.used.values())
+    for w in windows:
+        with pytest.raises(BusFault, match="over freed pages"):
+            w.read(0, 1)
+    sim.close()  # idempotent
+    assert seen() == before and _holds_no_bytes(sim)
+
+
+RUNNERS = {
+    "game1": lambda: [scenario.run_game1(t)
+                      for t in scenario.generate_game1(11, 16)],
+    "game2": lambda: [scenario.run_game2(t)
+                      for t in scenario.generate_game2(12, 10)],
+    "bench": lambda: scenario.run_bench("pipelined_alt"),
+    "fuzz": lambda: scenario.run_fuzz(5, scenario.FUZZ_EPOCH + 500),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_every_runner_closes_the_simulations_it_builds(runner):
+    # every game1 family, every game2 family (hostile and twin), one bench
+    # mode and two fuzz epochs
+    with _recorded_sims() as sims:
+        RUNNERS[runner]()
+    assert len(sims) == {"game1": 16, "game2": 20, "bench": 1,
+                         "fuzz": 2}[runner]
+    assert all(_holds_no_bytes(sim) for sim in sims)
+
+
+def test_consecutive_games_keep_the_traced_peak_low():
+    # the page bytes of a finished game used to wait for a cyclic
+    # collection, so the traced peak over 200 games was about 2.2 MiB;
+    # closed games peak near 0.75 MiB
+    texts = scenario.generate_game1(11, 200)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for text in texts:
+            scenario.run_game1(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1280 * 1024, f"peak {peak // 1024} KiB"
