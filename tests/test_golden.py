@@ -11,7 +11,8 @@ Cases: the 16 scenario files, the four bench modes, fixed-time runs of
 three periodic PosixShim enclaves (sensor read, compute, buffered log write)
 against an honest, a slow-writing, a refusing and a never-waking host, and a
 bulk stream of multi-page reads against an honest, a scribbling and a
-corrupting host.
+corrupting host, and the three CLI corpora: game1 (seed 11, 200 games),
+game2 (seed 12, 100 twin pairs) and the fuzzer (seed 5, 20,000 iterations).
 
 Regenerate only when behaviour is meant to change:
 
@@ -86,6 +87,23 @@ def _bench_case(mode: str) -> str:
     with _recorded_sims() as sims:
         row = scenario.run_bench(mode)
     return _digest(row, sims)
+
+
+# the CLI corpora, as CI runs them: name -> (runner, seed, size)
+CORPORA = {
+    "game1": (lambda seed, n: [scenario.run_game1(t) for t in
+                               scenario.generate_game1(seed, n)], 11, 200),
+    "game2": (lambda seed, n: [scenario.run_game2(t) for t in
+                               scenario.generate_game2(seed, n)], 12, 100),
+    "fuzz": (scenario.run_fuzz, 5, 20_000),
+}
+
+
+def _corpus_case(name: str) -> str:
+    run, seed, size = CORPORA[name]
+    with _recorded_sims() as sims:
+        rows = run(seed, size)
+    return _digest(rows, sims)
 
 
 # --- periodic shim enclaves over a fixed simulated time ---
@@ -236,6 +254,7 @@ def cases() -> dict:
     out.update({f"bench:{m}": (_bench_case, m) for m in BENCH_MODES})
     out.update({f"fleet:{h}": (_fleet_case, h) for h in FLEET_HOSTS})
     out.update({f"bulk:{h}": (_bulk_case, h) for h in BULK_HOSTS})
+    out.update({f"corpus:{c}": (_corpus_case, c) for c in CORPORA})
     return out
 
 
