@@ -18,8 +18,7 @@ from .host import AdversaryPolicy, HostOs, VirtualFs
 from .promise import (Promise, PromisePool, async_open, async_path_op,
                       async_read, async_statx, async_write, poll)
 from .ring import (CQE_SIZE, RING_HEADER, SQE_SIZE, Cqe, Ring, Sqe,
-                   cq_ring_attach, cq_ring_init, ring_region_bytes,
-                   sq_ring_attach, sq_ring_init)
+                   ring_region_bytes)
 from .sched import EDF, FP, BudgetScheduler, TaskControl
 from .shim import PosixShim, getpid, sync_call
 from .shm import (AccessMonitor, AddressSpace, MemoryAuthority, MemoryWindow,

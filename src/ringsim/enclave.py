@@ -43,15 +43,11 @@ class SqeArgs:
 
 class Completion(NamedTuple):
     tag: object  # the caller tag given to prep_and_submit
-    result: int
-    flags: int
-    internal_id: int
-    opcode: int
+    result: int  # the host's value, untrusted
+    internal_id: int  # the user_data it was published under
 
 
-class _UserRecord(NamedTuple):
-    tag: object
-    opcode: int
+_MISSING = object()  # no record: tags may be anything, 0 and None included
 
 
 @dataclass
@@ -94,12 +90,14 @@ class RingHandle:
         self._kernel = kernel
         self.pool = pool
         self._drop_budget = cfg.drop_budget
-        # the promise pool's cap also caps the table. A record belongs to a
-        # pending call, to an abandoned staged call until its completion
-        # lands, or to one of the arena pool's grants, which hold no promise
-        # (at most two: the launch grant and one refill)
+        # the correlation table maps each in-flight internal id to its bare
+        # caller tag, as io_uring's user_data names a request. The promise
+        # pool's cap also caps it. A record belongs to a pending call, to an
+        # abandoned staged call until its completion lands, or to one of the
+        # arena pool's grants, which hold no promise (at most two: the
+        # launch grant and one refill)
         self._table_cap = cfg.max_outstanding_promises
-        self._table: dict[int, _UserRecord] = {}  # in-flight records only
+        self._table: dict[int, object] = {}
         self._next_internal = 1  # strictly monotonic, never reused
         self._front: Completion | None = None
         self._entries_list: list[TranslationEntry] = []
@@ -157,7 +155,7 @@ class RingHandle:
         self._sq.produce(Sqe(opcode, args.flags, args.fd, addr, args.len,
                              args.off, internal))
         self._next_internal += 1
-        self._table[internal] = _UserRecord(caller_tag, opcode)
+        self._table[internal] = caller_tag
         return internal
 
     # --- completion side ---
@@ -178,10 +176,9 @@ class RingHandle:
             raw = self._cq.peek()
             if raw is None:
                 return None
-            rec = self._table.pop(raw.user_data, None)
-            if rec is not None:
-                comp = Completion(rec.tag, raw.result, raw.flags,
-                                  raw.user_data, rec.opcode)
+            tag = self._table.pop(raw.user_data, _MISSING)
+            if tag is not _MISSING:
+                comp = Completion(tag, raw.result, raw.user_data)
                 self.delivered_log.record(raw.user_data, raw.result)
                 self._front = comp
                 return comp
@@ -238,7 +235,7 @@ class RingHandle:
         and, if `published`, its published records, so that a late
         completion is dropped as unknown. -> whether one was parked."""
         if published:
-            self._table = {i: r for i, r in self._table.items() if r.tag != tag}
+            self._table = {i: t for i, t in self._table.items() if t != tag}
             self.stuck = False
         parked = len(self._parked)
         self._parked = deque(p for p in self._parked if p[2] != tag)

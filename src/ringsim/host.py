@@ -212,7 +212,8 @@ class HostOs:
         self.pid = 1000
         self.rings: dict[str, tuple] = {}  # enclave -> (sq consumer, cq producer)
         self.fds: dict[int, str] = {}      # fd -> path
-        self.workers: list = []            # heap of (ready, seq, fn)
+        # heap of (ready, seq, eid, consumed Sqe or flood's junk Cqe, corrupt)
+        self.workers: list = []
         self._wseq = 0
         # a host that never forwards wakes leaves its poller parked from boot
         self.poller_awake = not policy.never_wake
@@ -294,9 +295,9 @@ class HostOs:
         n = 0
         try:
             while self.workers and self.workers[0][0] <= now:
-                _, _, fn = heapq.heappop(self.workers)
+                _, _, eid, item, corrupt = heapq.heappop(self.workers)
                 if self.proxy_alive:
-                    fn(now)
+                    self._complete(now, eid, item, corrupt)
                     n += 1
         finally:
             if self._open_cqs:
@@ -345,8 +346,8 @@ class HostOs:
             if self.cfg.service_jitter else 0
         return self.cfg.service_base + jitter + self.cfg.service_per_byte * nbytes
 
-    def _schedule(self, ready: int, fn) -> None:
-        heapq.heappush(self.workers, (ready, self._wseq, fn))
+    def _schedule(self, ready: int, eid: str, item, corrupt: bool) -> None:
+        heapq.heappush(self.workers, (ready, self._wseq, eid, item, corrupt))
         self._wseq += 1
 
     def _produce_cqe(self, eid: str, cqe: Cqe) -> bool:
@@ -360,10 +361,6 @@ class HostOs:
             return True
         self.events.cqe_dropped(eid, cqe.user_data)
         return False
-
-    def _deliver_cqe(self, eid: str, cqe: Cqe) -> None:
-        if self._produce_cqe(eid, cqe):
-            self.events.cqe(eid, cqe.user_data, cqe.result)
 
     def _read_proxy(self, addr: int, n: int) -> bytes | None:
         try:
@@ -381,107 +378,93 @@ class HostOs:
             return False
 
     def _service(self, eid: str, sqe: Sqe, now: int) -> None:
+        """Consume one SQE: apply its transform and queue its worker(s)."""
         self.serviced += 1
         name = ringmod.OP_NAMES.get(sqe.opcode, "invalid")
         tf = self.policy.transform_for(name)
+        kind, arg = tf[0], tf[-1]  # arg: a delay or flood's number
         self.events.sqe(now, eid, name, sqe.user_data)
-        if tf[0] == "deny":
+        if kind == "deny":
             self.events.deny(now, name, sqe.user_data)
             return
-        delay = tf[1] if tf[0] == "delay" else 0
-        corrupt = tf[0] == "corrupt"
-        duplicate = tf[0] == "duplicate"
-        flood = tf[1] if tf[0] == "flood" else 0
-        ready = now + self._latency(sqe.len) + delay
-        fn = self._build_completion(eid, sqe, corrupt)
-        self._schedule(ready, fn)
-        if duplicate:
-            self._schedule(ready + 1, fn)
-        for i in range(flood):
+        ready = now + self._latency(sqe.len) + (arg if kind == "delay" else 0)
+        corrupt = kind == "corrupt"
+        self._schedule(ready, eid, sqe, corrupt)
+        if kind == "duplicate":
+            self._schedule(ready + 1, eid, sqe, corrupt)
+        for i in range(arg if kind == "flood" else 0):
             junk = Cqe((1 << 63) | self.rng.getrandbits(62),
                        self.rng.randrange(-100, 100), 0)
-            self._schedule(ready + i, lambda t, c=junk: self._deliver_cqe(eid, c))
+            self._schedule(ready + i, eid, junk, False)
 
-    def _build_completion(self, eid: str, sqe: Sqe, corrupt: bool):
-        """Compute the op now; apply byte effects and CQE at delivery time."""
-
-        def complete(now: int, result: int, payload_addr, payload) -> None:
-            tampered = False
-            if corrupt:
-                tampered = True
-                if payload is not None:
-                    payload = bytes(payload).translate(_XOR_A5)
-                else:
-                    result = -EIO if result >= 0 else result
-            if payload_addr is not None and payload is not None:
-                if not self._write_proxy(payload_addr, payload):
-                    result = -EFAULT
-                    payload = None
-            cqe = Cqe(sqe.user_data, result, 0)
-            if sqe.opcode != ringmod.OP_READ or payload is None:
-                self._deliver_cqe(eid, cqe)
-            elif self._produce_cqe(eid, cqe):
+    def _complete(self, now: int, eid: str, sqe, corrupt: bool) -> None:
+        """One due worker: a flood's junk Cqe goes out as it is; an Sqe's
+        operation runs now, and its payload (XORed when corrupt, which
+        fails a payloadless result instead) lands in the proxy buffer
+        before its CQE goes out."""
+        if type(sqe) is Cqe:
+            if self._produce_cqe(eid, sqe):
+                self.events.cqe(eid, sqe.user_data, sqe.result)
+            return
+        result, payload = self._execute(sqe)
+        data = payload
+        try:
+            if corrupt and data is not None:
+                data = bytes(data).translate(_XOR_A5)
+            elif corrupt and result >= 0:
+                result = -EIO
+            if data is not None and not self._write_proxy(sqe.addr, data):
+                result, data = -EFAULT, None
+            if not self._produce_cqe(eid, Cqe(sqe.user_data, result, 0)):
+                return
+            if sqe.opcode == ringmod.OP_READ and data is not None:
                 self.events.read_payload(now, eid, sqe.user_data,
-                                         self.fds.get(sqe.fd), not tampered,
-                                         sqe.off, len(payload), result)
-
-        def deliver(now: int) -> None:
-            result, payload_addr, payload = self._execute(sqe)
-            try:
-                complete(now, result, payload_addr, payload)
-            finally:
-                if isinstance(payload, memoryview):
-                    payload.release()  # a file with a view exported cannot grow
-
-        return deliver
+                                         self.fds.get(sqe.fd), not corrupt,
+                                         sqe.off, len(data), result)
+            else:
+                self.events.cqe(eid, sqe.user_data, result)
+        finally:
+            if isinstance(payload, memoryview):
+                payload.release()  # a file with a view exported cannot grow
 
     def _execute(self, sqe: Sqe):
-        """-> (result, payload_addr | None, payload | None)"""
+        """-> (result, payload for the buffer at sqe.addr | None)"""
         op = sqe.opcode
         if op in (ringmod.OP_OPEN, ringmod.OP_UNLINK, ringmod.OP_MKDIR):
             text = self._path_arg(sqe)
             if isinstance(text, int):
-                return (text, None, None)
+                return (text, None)
             if op == ringmod.OP_UNLINK:
-                return (self.vfs.unlink(text), None, None)
+                return (self.vfs.unlink(text), None)
             if op == ringmod.OP_MKDIR:
-                return (self.vfs.mkdir(text), None, None)
+                return (self.vfs.mkdir(text), None)
             r = self.vfs.open(text, bool(sqe.off & ringmod.OPENF_CREATE),
                               bool(sqe.off & ringmod.OPENF_TRUNC))
-            if r < 0:
-                return (r, None, None)
-            return (self._alloc_fd(text), None, None)
-        if op == ringmod.OP_READ:
+            return (r if r < 0 else self._alloc_fd(text), None)
+        if op in (ringmod.OP_READ, ringmod.OP_WRITE, ringmod.OP_STATX):
             path = self.fds.get(sqe.fd)
             if path not in self.vfs.files:  # not open, or since unlinked
-                return (-EBADF, None, None)
-            data = self.vfs.read(path, sqe.off, sqe.len)
-            return (len(data), sqe.addr, data)
-        if op == ringmod.OP_WRITE:
-            path = self.fds.get(sqe.fd)
-            if path not in self.vfs.files:  # not open, or since unlinked
-                return (-EBADF, None, None)
+                return (-EBADF, None)
+            if op == ringmod.OP_READ:
+                data = self.vfs.read(path, sqe.off, sqe.len)
+                return (len(data), data)
+            if op == ringmod.OP_STATX:
+                return (0, ringmod.STATX_FMT.pack(*self.vfs.stat(path)))
             data = self._read_proxy(sqe.addr, sqe.len)
             if data is None:
-                return (-EFAULT, None, None)
-            return (self.vfs.write(path, sqe.off, data), None, None)
+                return (-EFAULT, None)
+            return (self.vfs.write(path, sqe.off, data), None)
         if op == ringmod.OP_CLOSE:
             if sqe.fd not in self.fds:
-                return (-EBADF, None, None)
+                return (-EBADF, None)
             del self.fds[sqe.fd]
-            return (0, None, None)
-        if op == ringmod.OP_STATX:
-            path = self.fds.get(sqe.fd)
-            if path not in self.vfs.files:  # not open, or since unlinked
-                return (-EBADF, None, None)
-            size, block, pseudo = self.vfs.stat(path)
-            return (0, sqe.addr, ringmod.STATX_FMT.pack(size, block, pseudo))
+            return (0, None)
         if op == ringmod.OP_GETPID:
             # routed to the host on purpose; the value is untrusted data
-            return (self.pid, None, None)
+            return (self.pid, None)
         if op == ringmod.OP_ENCLAVE_MMAP:
-            return self._service_mmap(sqe)
-        return (-EINVAL, None, None)
+            return (self._service_mmap(sqe), None)
+        return (-EINVAL, None)
 
     def _path_arg(self, sqe: Sqe) -> str | int:
         """The path an SQE names, or -EFAULT (unreadable) / -EINVAL (not
@@ -494,14 +477,15 @@ class HostOs:
         except UnicodeDecodeError:
             return -EINVAL
 
-    def _service_mmap(self, sqe: Sqe):
+    def _service_mmap(self, sqe: Sqe) -> int:
+        """-> the proxy base of the registered grant, or -errno."""
         size = sqe.len
         region_id = sqe.off
         npages = max(1, (size + PAGE_SIZE - 1) // PAGE_SIZE)
         try:
             pages = self.authority.alloc_pages(npages, "proxy", NORMAL, "shm")
         except (QuotaExceeded, OutOfMemory):
-            return (-ENOMEM, None, None)
+            return -ENOMEM
         reg_pages, reg_size = list(pages), size
         attack = self.policy.bad_register
         if attack == "dup" and len(reg_pages) >= 1:
@@ -523,13 +507,13 @@ class HostOs:
             self.events.registration_rejected(region_id, type(exc).__name__)
             if not attack:
                 self.authority.free_pages(pages, "proxy")
-                return (-EINVAL, None, None)
+                return -EINVAL
             # hostile host lies about success; trusted attach will refuse
             base = self.proxy_space.fresh_base(size)
-            return (base, None, None)
+            return base
         mapping = self.authority.map_region(self.proxy_space, region_id)
         win = self.proxy_space.access(mapping.base, mapping.size, "w")
         self.scribble_targets.append(win)
         if mapping.base > 0x7FFFFFFF:
             raise AssertionError("proxy bases must fit the result field")
-        return (mapping.base, None, None)
+        return mapping.base

@@ -215,22 +215,6 @@ class Ring:
         return out
 
 
-def sq_ring_init(window: MemoryWindow, entries: int) -> Ring:
-    return Ring(window, entries, Sqe, initialize=True)
-
-
-def sq_ring_attach(window: MemoryWindow, entries: int) -> Ring:
-    return Ring(window, entries, Sqe, initialize=False)
-
-
-def cq_ring_init(window: MemoryWindow, entries: int) -> Ring:
-    return Ring(window, entries, Cqe, initialize=True)
-
-
-def cq_ring_attach(window: MemoryWindow, entries: int) -> Ring:
-    return Ring(window, entries, Cqe, initialize=False)
-
-
 def ring_region_bytes(entries: int, slot_size: int) -> int:
     """Page-rounded region size for a ring of the given geometry."""
     raw = RING_HEADER + entries * slot_size

@@ -104,15 +104,6 @@ def _policy_from(adv: dict) -> AdversaryPolicy:
     return pol
 
 
-def _is_corrupting(adv: dict) -> bool:
-    if float(adv.get("scribble_rate", 0) or 0) > 0:
-        return True
-    return any(v.startswith("corrupt")
-               for k, v in adv.items()
-               if k not in ("never_wake", "kill_proxy_at", "scribble_rate",
-                            "bad_register"))
-
-
 # --- the availability victim ---
 
 def _victim_factory(msg_path: str, expected: bytes, tau: int, fallback_at: int,
@@ -223,10 +214,10 @@ def _run_game1(text: str):
     kinds = _classify_tx(sim.device, "victim", horizon, expected)
     arrival = _arrival_by(sim.host, msg_path, len(expected), horizon // 2)
     ok_live = kinds in (["message"], ["fallback"])
-    corrupting = _is_corrupting(sc["adversary"])
-    ok_strict = True
-    if not corrupting and arrival and kinds != ["message"]:
-        ok_strict = False
+    # a clean arrival owes the message, unless the host could spoil it
+    corrupting = policy.scribble_rate > 0 or \
+        ("corrupt",) in (policy.default, *policy.per_op.values())
+    ok_strict = corrupting or not arrival or kinds == ["message"]
     row = {
         "name": sc["scenario"].get("name", "?"),
         "kind": "game1",

@@ -17,9 +17,7 @@ from .enclave import RingHandle
 from .errors import RegistrationRejected
 from .host import AdversaryPolicy, HostOs, VirtualFs
 from .promise import PromisePool
-from .ring import (CQE_SIZE, SQE_SIZE, WAKE_FMT, cq_ring_attach,
-                   cq_ring_init, ring_region_bytes, sq_ring_attach,
-                   sq_ring_init)
+from .ring import WAKE_FMT, Cqe, Ring, Sqe, ring_region_bytes
 from .sched import ENCLAVE, FP, HOST, BudgetScheduler
 from .shm import MemoryAuthority, NORMAL, TRUSTED
 
@@ -208,10 +206,24 @@ class Simulation:
 
     # --- enclave launch flow ---
 
-    def _fresh_rid(self) -> int:
-        rid = self._next_rid
-        self._next_rid += 1
-        return rid
+    def _ring(self, space, entries: int, codec) -> tuple:
+        """One ring region: proxy-owned normal pages, validated before any
+        map. The trusted side attaches it and zeroes the header, so a
+        pre-scribbled header can never poison the initial index snapshots
+        on either side; then the host maps it and attaches. -> (enclave
+        ring, host ring, host window)"""
+        nbytes = ring_region_bytes(entries, codec.STRUCT.size)
+        pages = self.authority.alloc_pages(nbytes // PAGE_SIZE, "proxy",
+                                           NORMAL, "ring")
+        rid, self._next_rid = self._next_rid, self._next_rid + 1
+        self.authority.register_shared(pages, rid, nbytes)
+        base = self.kernel.attach_shared(space, rid, nbytes)
+        ring = Ring(space.access(base, nbytes, "w"), entries, codec,
+                    initialize=True)
+        proxy = self.host.proxy_space
+        win = proxy.access(self.authority.map_region(proxy, rid).base,
+                           nbytes, "w")
+        return ring, Ring(win, entries, codec, initialize=False), win
 
     def spawn_enclave(self, name: str, period: int, budget: int,
                       body_factory: Callable, env: dict | None = None,
@@ -228,34 +240,10 @@ class Simulation:
         image = self.authority.alloc_pages(4, name, TRUSTED, "image")
         self.authority.map_private(space, image)
 
-        # ring regions: proxy-owned normal pages, validated before any map
-        sq_bytes = ring_region_bytes(cfg.sq_entries, SQE_SIZE)
-        cq_bytes = ring_region_bytes(cfg.cq_entries, CQE_SIZE)
-        sq_pages = self.authority.alloc_pages(sq_bytes // PAGE_SIZE, "proxy",
-                                              NORMAL, "ring")
-        cq_pages = self.authority.alloc_pages(cq_bytes // PAGE_SIZE, "proxy",
-                                              NORMAL, "ring")
-        sq_rid, cq_rid = self._fresh_rid(), self._fresh_rid()
-        self.authority.register_shared(sq_pages, sq_rid, sq_bytes)
-        self.authority.register_shared(cq_pages, cq_rid, cq_bytes)
-
-        sq_base = self.kernel.attach_shared(space, sq_rid, sq_bytes)
-        cq_base = self.kernel.attach_shared(space, cq_rid, cq_bytes)
-        sq_win = space.access(sq_base, sq_bytes, "w")
-        cq_win = space.access(cq_base, cq_bytes, "w")
-        # trusted side zeroes both headers; a pre-scribbled header can then
-        # never poison the initial index snapshots on either side
-        sq = sq_ring_init(sq_win, cfg.sq_entries)
-        cq = cq_ring_init(cq_win, cfg.cq_entries)
-
-        psq = self.authority.map_region(self.host.proxy_space, sq_rid)
-        pcq = self.authority.map_region(self.host.proxy_space, cq_rid)
-        sq_host_win = self.host.proxy_space.access(psq.base, sq_bytes, "w")
-        cq_host_win = self.host.proxy_space.access(pcq.base, cq_bytes, "w")
-        host_sq = sq_ring_attach(sq_host_win, cfg.sq_entries)
-        host_cq = cq_ring_attach(cq_host_win, cfg.cq_entries)
+        sq, host_sq, sq_win = self._ring(space, cfg.sq_entries, Sqe)
+        cq, host_cq, cq_win = self._ring(space, cfg.cq_entries, Cqe)
         self.host.attach_enclave(name, host_sq, host_cq)
-        self.host.scribble_targets.extend([sq_host_win, cq_host_win])
+        self.host.scribble_targets.extend([sq_win, cq_win])
 
         pool = PromisePool(cfg.max_outstanding_promises,
                            cfg.continuation_budget)

@@ -11,8 +11,7 @@ from ringsim.enclave import (Completion, RingHandle, SharedBlock,
                              TranslationEntry)
 from ringsim.errors import Untranslatable
 from ringsim.promise import PromisePool
-from ringsim.ring import (CQE_SIZE, SQE_SIZE, cq_ring_attach, cq_ring_init,
-                          ring_region_bytes, sq_ring_attach, sq_ring_init)
+from ringsim.ring import CQE_SIZE, SQE_SIZE, Cqe, Ring, Sqe, ring_region_bytes
 from ringsim.shm import NORMAL, TRUSTED, MemoryAuthority
 from ringsim.sim import Simulation
 
@@ -58,10 +57,10 @@ def ring_world(cfg: SimConfig | None = None):
     cq_bytes = ring_region_bytes(cfg.cq_entries, CQE_SIZE)
     sqw_e, sqw_p, _ = dual_windows(auth, espace, pspace, sq_bytes)
     cqw_e, cqw_p, _ = dual_windows(auth, espace, pspace, cq_bytes)
-    sq = sq_ring_init(sqw_e, cfg.sq_entries)
-    cq = cq_ring_init(cqw_e, cfg.cq_entries)
-    host_sq = sq_ring_attach(sqw_p, cfg.sq_entries)
-    host_cq = cq_ring_attach(cqw_p, cfg.cq_entries)
+    sq = Ring(sqw_e, cfg.sq_entries, Sqe, initialize=True)
+    cq = Ring(cqw_e, cfg.cq_entries, Cqe, initialize=True)
+    host_sq = Ring(sqw_p, cfg.sq_entries, Sqe, initialize=False)
+    host_cq = Ring(cqw_p, cfg.cq_entries, Cqe, initialize=False)
     pool = PromisePool(cfg.max_outstanding_promises, cfg.continuation_budget)
     handle = RingHandle(sq, cq, espace, StubKernel(), pool, cfg)
     return auth, handle, host_sq, host_cq
@@ -127,8 +126,8 @@ class FakeRT:
 
     def complete(self, index: int, result: int) -> None:
         """Deliver the index-th submission's completion, as pump() would."""
-        opcode, _, p = self.submitted[index]
-        self.pool.settle_from_cqe(Completion(p, result, 0, index, opcode))
+        p = self.submitted[index][2]
+        self.pool.settle_from_cqe(Completion(p, result, index))
 
     def pump(self, max_events=None):
         self.pool.run_deferred()

@@ -149,7 +149,7 @@ def test_untranslatable_parked_entry_raises_once():
     assert h.parked_count == 2 and len(h._kernel.enters) == enters
     h.pump_parked()  # the entries behind it go out
     assert h.parked_count == 0 and len(h._kernel.enters) == enters + 1
-    assert sorted(rec.tag for rec in h._table.values()) == [9, 10]
+    assert sorted(h._table.values()) == [9, 10]
     assert len(host_sq.consume_batch(8)) == 2
 
 def test_room_check_and_produce_share_one_head_load():
@@ -175,7 +175,7 @@ def test_room_check_and_produce_share_one_head_load():
     assert mon.delta(mark) == 1 + 2 + 1
     mon.disarm()
     assert [s.user_data for s in host_sq.consume_batch(8)] == [9, 10]
-    assert [h._table[r].tag for r in (9, 10)] == [8, 9]
+    assert [h._table[r] for r in (9, 10)] == [8, 9]
     assert h._kernel.enters == ["encl"] * 9
 
 
@@ -307,7 +307,7 @@ def test_parking_drains_after_capacity_frees():
     h.pump_parked()
     assert h.parked_count == 0
     pushed = host_sq.consume_batch(8)
-    assert [h._table[s.user_data].tag for s in pushed] == [8, 9, 10, 11]
+    assert [h._table[s.user_data] for s in pushed] == [8, 9, 10, 11]
 
 
 def test_doorbell_rings_once_per_publish_that_moves_the_tail():

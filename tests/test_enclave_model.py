@@ -133,7 +133,7 @@ class CorrelationTable(RuleBasedStateMachine):
     @invariant()
     def table_matches_model(self):
         assert len(self.h._table) <= CAP
-        assert {r: rec.tag for r, rec in self.h._table.items()} == self.inflight
+        assert self.h._table == self.inflight
         assert self.h.parked_count == len(self.parked)
 
 

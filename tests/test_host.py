@@ -7,9 +7,7 @@ from ringsim import ring as ringmod
 from ringsim.config import EBADF, EEXIST, EINVAL, ENOENT, INIT_SHM_ENV, SimConfig
 from ringsim.host import (AdversaryPolicy, HostOs, VirtualFs, _fill_bytes)
 from ringsim.promise import async_path_op, async_read, async_statx, async_write
-from ringsim.ring import (CQE_SIZE, SQE_SIZE, Cqe, Sqe, cq_ring_attach,
-                          cq_ring_init, ring_region_bytes, sq_ring_attach,
-                          sq_ring_init)
+from ringsim.ring import CQE_SIZE, SQE_SIZE, Cqe, Ring, Sqe, ring_region_bytes
 from ringsim.shim import PosixShim, sync_call
 from ringsim.shm import NORMAL, TRUSTED, MemoryAuthority
 
@@ -103,10 +101,13 @@ class World:
         pspace = auth.create_space("proxy", NORMAL, 0x10000)
         sqb = ring_region_bytes(self.cfg.sq_entries, SQE_SIZE)
         cqb = ring_region_bytes(self.cfg.cq_entries, CQE_SIZE)
-        self.sq = sq_ring_init(self._dual(auth, pspace, sqb)[0], self.cfg.sq_entries)
-        hsq = sq_ring_attach(self._last_proxy, self.cfg.sq_entries)
-        self.cq = cq_ring_init(self._dual(auth, pspace, cqb)[0], self.cfg.cq_entries)
-        hcq = cq_ring_attach(self._last_proxy, self.cfg.cq_entries)
+        sqn, cqn = self.cfg.sq_entries, self.cfg.cq_entries
+        self.sq = Ring(self._dual(auth, pspace, sqb)[0], sqn, Sqe,
+                       initialize=True)
+        hsq = Ring(self._last_proxy, sqn, Sqe, initialize=False)
+        self.cq = Ring(self._dual(auth, pspace, cqb)[0], cqn, Cqe,
+                       initialize=True)
+        hcq = Ring(self._last_proxy, cqn, Cqe, initialize=False)
         vfs = VirtualFs.from_manifest(manifest)
         self.host = HostOs(auth, pspace, vfs, policy or AdversaryPolicy(),
                            self.cfg, seed)

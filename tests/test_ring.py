@@ -13,9 +13,8 @@ import pytest
 
 from ringsim.config import SimConfig
 from ringsim.errors import BadSize, EmptyConsume
-from ringsim.ring import (CQE_SIZE, RING_HEADER, SQE_SIZE, Cqe, Sqe,
-                          cq_ring_attach, cq_ring_init, ring_region_bytes,
-                          sq_ring_attach, sq_ring_init)
+from ringsim.ring import (CQE_SIZE, RING_HEADER, SQE_SIZE, Cqe, Ring, Sqe,
+                          ring_region_bytes)
 from ringsim.shm import NORMAL, MemoryAuthority
 
 from helpers import dual_windows
@@ -64,12 +63,9 @@ def _pair(entries=8, slot=CQE_SIZE):
     p = auth.create_space("proxy", NORMAL, 0x10000)
     nbytes = ring_region_bytes(entries, slot)
     we, wp, _ = dual_windows(auth, e, p, nbytes)
-    if slot == CQE_SIZE:
-        prod = cq_ring_init(we, entries)
-        cons = cq_ring_attach(wp, entries)
-    else:
-        prod = sq_ring_init(we, entries)
-        cons = sq_ring_attach(wp, entries)
+    codec = Cqe if slot == CQE_SIZE else Sqe
+    prod = Ring(we, entries, codec, initialize=True)
+    cons = Ring(wp, entries, codec, initialize=False)
     return prod, cons, wp
 
 
@@ -84,12 +80,12 @@ def test_init_layout_and_bad_sizes():
     m = auth.map_private(sp, pages)
     win = sp.access(m.base, 4096, "rw")
     with pytest.raises(BadSize):
-        sq_ring_init(win, 7)          # power-of-two rule
+        Ring(win, 7, Sqe, initialize=True)     # power-of-two rule
     with pytest.raises(BadSize):
-        sq_ring_init(win, 128)        # region too small
-    cq_ring_init(win, 8)
+        Ring(win, 128, Sqe, initialize=True)   # region too small
+    Ring(win, 8, Cqe, initialize=True)
     with pytest.raises(BadSize):
-        cq_ring_attach(win, 16)       # shared entries field disagrees
+        Ring(win, 16, Cqe, initialize=False)   # shared entries field disagrees
 
 
 def test_produce_consume_fifo():
@@ -150,8 +146,8 @@ def test_wraparound_near_2_32():
     start = 0xFFFFFFFA
     w.write(0, struct.pack("<I", start))
     w.write(4, struct.pack("<I", start))
-    prod2 = cq_ring_attach(prod._win, 8)   # reload private copies
-    cons2 = cq_ring_attach(w, 8)
+    prod2 = Ring(prod._win, 8, Cqe, initialize=False)  # reload private copies
+    cons2 = Ring(w, 8, Cqe, initialize=False)
     for i in range(12):                    # crosses 2^32
         assert prod2.produce(Cqe(i, 0, 0))
         got = cons2.peek()

@@ -20,7 +20,7 @@ Two layers:
 """
 import struct
 
-from ringsim.ring import Cqe, cq_ring_attach, cq_ring_init, ring_region_bytes
+from ringsim.ring import Cqe, Ring, ring_region_bytes
 from ringsim.shm import NORMAL, MemoryAuthority
 
 from helpers import dual_windows
@@ -133,10 +133,10 @@ class _RealPair:
         p = self.auth.create_space("proxy", NORMAL, 0x10000)
         nbytes = ring_region_bytes(entries, 16)
         self.we, self.wp, _ = dual_windows(self.auth, e, p, nbytes)
-        self.prod = cq_ring_init(self.we, entries)
+        self.prod = Ring(self.we, entries, Cqe, initialize=True)
         self.we.write(0, struct.pack("<II", start_index, start_index))
         self.prod._head = self.prod._tail = start_index
-        self.cons = cq_ring_attach(self.wp, entries)
+        self.cons = Ring(self.wp, entries, Cqe, initialize=False)
 
     def snapshot(self):
         return (self.wp.read(0, self.wp.length),) + tuple((r._head, r._tail, r._held, r._mark)

@@ -130,9 +130,9 @@ def test_denied_reads_time_out_for_good_without_a_leak():
         for _ in range(2_000):
             r = yield from sync_call(rt, async_read(rt, fd, 64), 300_000)
             assert r == -ETIMEDOUT
-            # a read's record carries its op, the promise, as caller tag
-            held = sum(rec.tag.arena.capacity for rec in table.values()
-                       if rec.opcode == OP_READ)
+            # a read's record is its caller tag, its op (a promise)
+            held = sum(tag.arena.capacity for tag in table.values()
+                       if getattr(tag, "opcode", None) == OP_READ)
             assert rt.arena_pool.accounting()[2] == held
             assert len(table) <= cap and rt.handle.parked_count == 0
             out["worst"] = max(out["worst"], rt.pool.outstanding)
