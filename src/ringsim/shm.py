@@ -340,12 +340,15 @@ class MemoryAuthority:
         return ids
 
     def free_pages(self, page_ids: list[int], owner: str) -> None:
-        """Free pages `owner` holds, all checked before any goes. Each one's
-        allocation breaks and drops its bytes, even while windows name it."""
+        """Free pages `owner` holds, all checked before any goes: one not
+        owned, or listed twice, frees none. Each one's allocation breaks and
+        drops its bytes, even while windows name it."""
         for pid in page_ids:
             info = self.table.entries.get(pid)
             if info is None or info.owner != owner:
                 raise BusFault(f"free of page {pid} not owned by {owner}")
+        if len(set(page_ids)) != len(page_ids):
+            raise BusFault("free lists a page twice")
         for pid in sorted(page_ids, reverse=True):
             del self.table.entries[pid]
             ext = self._extents.pop(pid)

@@ -350,6 +350,26 @@ def test_free_drops_the_extent_bytes_while_windows_still_name_it():
     assert not auth.table.entries and auth.table.used["proxy"] == 0
 
 
+def test_free_of_a_page_listed_twice_changes_nothing():
+    # all or none: the repeat is refused like an unowned page, before any
+    # page goes (the second delete used to raise KeyError half done)
+    auth = MemoryAuthority()
+    p, q = auth.alloc_pages(2, "proxy", NORMAL, "shm")
+
+    def state():
+        return (dict(auth.table.entries), list(auth._free),
+                dict(auth.table.used), auth.state_digest())
+
+    before = state()
+    with pytest.raises(BusFault, match="twice"):
+        auth.free_pages([p, p], "proxy")
+    with pytest.raises(BusFault, match="twice"):
+        auth.free_pages([q, p, q], "proxy")
+    assert state() == before and not auth._extents[p].broken
+    auth.free_pages([p, q], "proxy")
+    assert not auth.table.entries and auth.table.used["proxy"] == 0
+
+
 # --- windows against a flat byte model ---
 
 RECORDS = [struct.Struct(f) for f in ("<I", "<II", "<QiI", "<QQ", "<BBiQIQQ30x")]
