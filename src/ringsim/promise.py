@@ -86,10 +86,10 @@ class PromisePool:
             self._settle(p, FAILED, None, "abandoned")
 
     def settle_from_cqe(self, completion) -> bool:
-        """Settle what a delivered completion was submitted with (its caller
-        tag). A plain promise settles now, a negative result as a failure
-        with the errno value; an operation record takes the result and
-        resumes from the ready queue."""
+        """Settle `completion.tag`, the bare caller tag its correlation
+        record held. A plain promise settles now, a negative result as a
+        failure with the errno value; an operation record (or a grant)
+        takes the result and resumes from the ready queue."""
         p = completion.tag
         if type(p) is not Promise:
             p.result = completion.result
