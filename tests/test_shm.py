@@ -352,7 +352,7 @@ def test_free_drops_the_extent_bytes_while_windows_still_name_it():
 
 def test_free_of_a_page_listed_twice_changes_nothing():
     # all or none: the repeat is refused like an unowned page, before any
-    # page goes (the second delete used to raise KeyError half done)
+    # page goes
     auth = MemoryAuthority()
     p, q = auth.alloc_pages(2, "proxy", NORMAL, "shm")
 
