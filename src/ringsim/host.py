@@ -29,6 +29,11 @@ starts with its kind:
                                      grant registration refused (exception
                                      name)
 
+An SQE flagged SQE_DRAIN is due its latency after the last pending worker
+of its ring (a denied SQE has none). A statx whose fd is AT_FDCWD reads its
+path from its buffer, as statx(2) does, and writes the record over it. Only
+the payload of a read or write pays the per-byte service cost.
+
 Nothing here is trusted: the enclave-side modules never read host state
 except through the shared rings and granted windows.
 """
@@ -341,10 +346,12 @@ class HostOs:
 
     # --- servicing ---
 
-    def _latency(self, nbytes: int = 0) -> int:
+    def _latency(self, sqe: Sqe) -> int:
         jitter = self.rng.randrange(self.cfg.service_jitter) \
             if self.cfg.service_jitter else 0
-        return self.cfg.service_base + jitter + self.cfg.service_per_byte * nbytes
+        payload = sqe.opcode in (ringmod.OP_READ, ringmod.OP_WRITE)
+        return self.cfg.service_base + jitter + \
+            self.cfg.service_per_byte * (sqe.len if payload else 0)
 
     def _schedule(self, ready: int, eid: str, item, corrupt: bool) -> None:
         heapq.heappush(self.workers, (ready, self._wseq, eid, item, corrupt))
@@ -387,7 +394,9 @@ class HostOs:
         if kind == "deny":
             self.events.deny(now, name, sqe.user_data)
             return
-        ready = now + self._latency(sqe.len) + (arg if kind == "delay" else 0)
+        start = max([now] + [w[0] for w in self.workers if w[2] == eid]) \
+            if sqe.flags & ringmod.SQE_DRAIN else now
+        ready = start + self._latency(sqe) + (arg if kind == "delay" else 0)
         corrupt = kind == "corrupt"
         self._schedule(ready, eid, sqe, corrupt)
         if kind == "duplicate":
@@ -442,9 +451,12 @@ class HostOs:
                               bool(sqe.off & ringmod.OPENF_TRUNC))
             return (r if r < 0 else self._alloc_fd(text), None)
         if op in (ringmod.OP_READ, ringmod.OP_WRITE, ringmod.OP_STATX):
-            path = self.fds.get(sqe.fd)
+            by_path = op == ringmod.OP_STATX and sqe.fd == ringmod.AT_FDCWD
+            path = self._path_arg(sqe) if by_path else self.fds.get(sqe.fd)
+            if isinstance(path, int):
+                return (path, None)
             if path not in self.vfs.files:  # not open, or since unlinked
-                return (-EBADF, None)
+                return (-ENOENT if by_path else -EBADF, None)
             if op == ringmod.OP_READ:
                 data = self.vfs.read(path, sqe.off, sqe.len)
                 return (len(data), data)
@@ -467,13 +479,13 @@ class HostOs:
         return (-EINVAL, None)
 
     def _path_arg(self, sqe: Sqe) -> str | int:
-        """The path an SQE names, or -EFAULT (unreadable) / -EINVAL (not
-        UTF-8)."""
+        """The path an SQE names, up to its first NUL, or -EFAULT
+        (unreadable) / -EINVAL (not UTF-8)."""
         path = self._read_proxy(sqe.addr, sqe.len)
         if path is None:
             return -EFAULT
         try:
-            return path.decode()
+            return path.partition(b"\0")[0].decode()
         except UnicodeDecodeError:
             return -EINVAL
 

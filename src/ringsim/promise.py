@@ -231,8 +231,14 @@ def async_open(rt, path: bytes, open_flags: int = 0) -> Promise:
     return async_path_op(rt, ringmod.OP_OPEN, path, off=open_flags)
 
 
-def async_statx(rt, fd: int) -> Promise:
-    """Promise of (size, block_size, pseudo_flag)."""
-    return _staged_op(rt, ringmod.OP_STATX, ringmod.STATX_BYTES, fd=fd,
+def async_statx(rt, file: int | bytes) -> Promise:
+    """Promise of (size, block_size, pseudo_flag) of an fd, or of a path,
+    sent as AT_FDCWD and NUL-padded to hold the record the host writes."""
+    path = None if isinstance(file, int) else \
+        file.ljust(ringmod.STATX_BYTES, b"\0")
+    return _staged_op(rt, ringmod.OP_STATX,
+                      len(path or bytes(ringmod.STATX_BYTES)),
+                      fd=file if path is None else ringmod.AT_FDCWD,
+                      payload=path,
                       finish=lambda arena, _result: ringmod.STATX_FMT
                       .unpack(arena.read(0, ringmod.STATX_BYTES)))

@@ -23,6 +23,10 @@ while a batch is open, so the raw snapshot, clamped again at each step, is
 exactly what a re-read would give. All accesses are in-place `unpack`s and
 `pack`s. Under CPython the byte stores are atomic enough for the threaded
 smoke test; the deterministic interleaving checks are the normative model.
+
+An SQE's flags byte has one bit, SQE_DRAIN (io_uring's IOSQE_IO_DRAIN): start
+the entry once every entry consumed before it from its ring has run. It is a
+request to an untrusted host, never a premise of the enclave side.
 """
 from __future__ import annotations
 
@@ -51,7 +55,7 @@ _HEAD, _TAIL = 0, 4  # header offsets of the two shared indices
 
 class Sqe(NamedTuple):
     opcode: int
-    flags: int
+    flags: int  # SQE_DRAIN or 0
     fd: int
     addr: int
     len: int
@@ -239,6 +243,9 @@ OP_NAMES = {
     OP_STATX: "statx", OP_UNLINK: "unlink", OP_MKDIR: "mkdir",
     OP_GETPID: "getpid", OP_ENCLAVE_MMAP: "enclave_mmap",
 }
+
+SQE_DRAIN = 0x1  # Sqe.flags: run after every earlier SQE of this ring ran
+AT_FDCWD = -100  # Sqe.fd of a statx naming its file by the path it carries
 
 # open() mode bits carried in Sqe.off
 OPENF_CREATE = 0x1

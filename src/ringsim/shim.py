@@ -20,11 +20,11 @@ else by its late completion; one that never comes holds a record, within
 the correlation table's cap, and that arena.
 
 The file facade stages writes privately and submits block-multiple chunks at
-tracked offsets with one write in flight per file. That write is its staged
-op, whose `landed` hook submits the next chunk as the op settles; write
-errors surface on a later write/flush/close (deferred-error poisoning), which
-is what buffered POSIX io does. Pseudo files (size reported as device
-geometry at open) skip staging entirely.
+tracked offsets, one write (a staged op, whose `landed` hook submits the next
+chunk) in flight per file; write errors poison later calls, as in buffered
+POSIX io; pseudo files skip staging. Open takes one host round trip: the open
+and a path statx flagged SQE_DRAIN go out together. So does close when no
+write is in flight: the staged tail and a SQE_DRAIN close go out together.
 """
 from __future__ import annotations
 
@@ -123,12 +123,14 @@ class PosixShim:
     def open(self, path: str, create: bool = False, trunc: bool = False):
         flags = (ringmod.OPENF_CREATE if create else 0) | \
                 (ringmod.OPENF_TRUNC if trunc else 0)
-        fd = yield from sync_call(self.rt, async_open(self.rt, path.encode(),
-                                                      flags), self.timeout_ns)
+        opened = async_open(self.rt, path.encode(), flags)
+        stat = async_statx(self.rt, path.encode())
+        stat.args.flags = ringmod.SQE_DRAIN  # both go before the first wait
+        fd = yield from sync_call(self.rt, opened, self.timeout_ns)
         if fd < 0:
+            abandon(self.rt, stat)
             return fd
-        geo = yield from sync_call(self.rt, async_statx(self.rt, fd),
-                                   self.timeout_ns)
+        geo = yield from sync_call(self.rt, stat, self.timeout_ns)
         if isinstance(geo, int):
             return geo  # statx refused; surface its errno
         _size, block, pseudo = geo
@@ -220,26 +222,41 @@ class PosixShim:
         t = self.timeout_ns
         return None if t is None else self.rt.now() + t
 
+    def _wait(self, f: _ShimFile, busy, deadline: int | None):
+        """Pump, submit staged chunks while busy(); -> whether time ran out."""
+        while True:
+            self.rt.pump()
+            self._maybe_submit(f, tail=True)
+            if not busy():
+                return False
+            if deadline is not None and self.rt.now() >= deadline:
+                return True
+            yield from self.rt.poll_wait(deadline)
+
     def flush(self, fd: int):
         """Drain staging (tail included) and the in-flight write."""
         f = self._files.get(fd)
         if f is None:
             return -EBADF
-        deadline = self._deadline()
-        while (f.staged or f.inflight is not None) and not f.error:
-            self._maybe_submit(f, tail=True)
-            yield from self.rt.poll_wait(deadline)
-            self.rt.pump()
-            if deadline is not None and self.rt.now() >= deadline:
-                return -ETIMEDOUT
+        if (yield from self._wait(f, lambda: (f.staged or f.inflight)
+                                  and not f.error, self._deadline())):
+            return -ETIMEDOUT
         return -f.error if f.error else 0
 
     def close(self, fd: int):
-        if fd not in self._files:
+        """Publish every staged byte (waiting only while a write is in flight)
+        and a close that drains behind the last write, then wait for both."""
+        f = self._files.get(fd)
+        if f is None:
             return -EBADF
-        r = yield from self.flush(fd)
-        p = self.rt.submit_async(ringmod.OP_CLOSE,
-                                 SqeArgs(fd=fd, translate=False))
+        # a staged op's SQE goes out once it has its arena (args.addr set)
+        late = yield from self._wait(f, lambda: (f.staged or f.inflight and
+                                                 not f.inflight.args.addr)
+                                     and not f.error, self._deadline())
+        f.staged.clear()  # nothing may go out behind the close
+        p = self.rt.submit_async(ringmod.OP_CLOSE, SqeArgs(
+            fd=fd, flags=ringmod.SQE_DRAIN, translate=False))
+        r = -ETIMEDOUT if late else (yield from self.flush(fd))
         rc = yield from sync_call(self.rt, p, self.timeout_ns)
         self._files.pop(fd, None)
         return r if r < 0 else rc

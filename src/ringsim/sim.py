@@ -267,11 +267,15 @@ class Simulation:
         self.sched.advance(dt)
 
     def close(self) -> None:
-        """Free every live allocation, owner by owner, so its bytes go now
-        rather than at the next cyclic collection. Idempotent; emits no
-        record and leaves every log, counter and arena accounting as it
-        was. Windows over the freed pages fault from then on."""
+        """Free every live allocation, owner by owner, close each task body
+        and drop the pending correlation records, so that reference counting
+        frees the platform. Idempotent; emits no record and leaves every log,
+        counter and arena accounting as it was. Windows over freed pages fault."""
         a = self.authority
         for owner in dict.fromkeys(i.owner for i in a.table.entries.values()):
             a.free_pages([p for p, i in a.table.entries.items()
                           if i.owner == owner], owner)
+        for t in self.sched.tasks.values():  # a body's frame holds its rt,
+            t.gen.close()
+        for rt in self.runtimes.values():  # and so does a pending record
+            rt.handle._table.clear()

@@ -374,3 +374,56 @@ def test_mmap_grants_and_bad_register_lies():
     assert any(e[0] == "registration_rejected" for e in bad.host.events)
     # rejected registration left the authority byte-identical
     assert any(e[0] == "reg_atomic" and e[2] for e in bad.host.events)
+
+
+def _delivered_at(w, ud, t0):
+    """The first slice tick, in steps of 100 ns from t0, that delivers ud."""
+    for tick in range(t0, t0 + 2_000_000, 100):
+        w.host.on_slice(tick)
+        if any(c.user_data == ud for c in w.drain()):
+            return tick - t0
+    raise AssertionError("never delivered")
+
+
+@pytest.mark.parametrize("flags,deny,due", [
+    (0, False, 8_000), (ringmod.SQE_DRAIN, False, 16_000),
+    (ringmod.SQE_DRAIN, True, 8_000)], ids=["plain", "drain", "after_deny"])
+def test_drain_flag_waits_for_the_rings_pending_workers(flags, deny, due):
+    # a write and a close consumed in one slice: a flagged close is due its
+    # latency after the write's worker, unless the write was denied
+    w = World(AdversaryPolicy(per_op={"write": ("deny",)}) if deny else None)
+    fd, t = _open(w, 0)
+    w.buf.write(0, b"tail")
+    w.submit(ringmod.OP_WRITE, fd=fd, addr=w.buf_addr, ln=4)
+    ud = w.submit(ringmod.OP_CLOSE, fd=fd, flags=flags)
+    assert _delivered_at(w, ud, t) == due
+    assert bytes(w.host.vfs.files["/data/f"].data[:4]) == \
+        (_fill_bytes("/data/f", 4) if deny else b"tail")
+
+
+def test_grants_pay_no_per_byte_service_cost():
+    # service_per_byte prices the payload a read or write copies; a grant's
+    # length is its size, not a payload
+    w = World()
+    w.cfg.service_per_byte = 1
+    grant = w.submit(ringmod.OP_ENCLAVE_MMAP, ln=1 << 20, off=77)
+    assert _delivered_at(w, grant, 0) <= w.cfg.service_base + \
+        w.cfg.service_jitter
+    fd, t = _open(w, 100_000)
+    rd = w.submit(ringmod.OP_READ, fd=fd, addr=w.buf_addr, ln=1000)
+    assert _delivered_at(w, rd, t) == w.cfg.service_base + 1000
+
+
+def test_statx_by_path_writes_the_record_over_its_buffer():
+    w = World()
+    path = b"/data/f".ljust(ringmod.STATX_BYTES, b"\0")
+    w.buf.write(0, path)
+    cqe, t = w.run_op(0, ringmod.OP_STATX, fd=ringmod.AT_FDCWD,
+                      addr=w.buf_addr, ln=len(path))
+    assert cqe.result == 0
+    assert ringmod.STATX_FMT.unpack(w.buf.read(0, 16)) == (1024, 512, 0)
+    w.buf.write(0, b"/data/gone".ljust(16, b"\0"))
+    cqe, t = w.run_op(t, ringmod.OP_STATX, fd=ringmod.AT_FDCWD,
+                      addr=w.buf_addr, ln=16)
+    assert cqe.result == -ENOENT
+    assert w.host.fds == {}                # nothing was opened

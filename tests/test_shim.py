@@ -529,3 +529,101 @@ def test_drain_timeout_counts_simulated_time(drain, budget):
     assert out.get("done"), out
     for tau, r, elapsed in out["r"]:
         assert r == -ETIMEDOUT and tau <= elapsed <= tau + period, (tau, r, elapsed)
+
+
+# --- open and close in one round trip (SQE_DRAIN) ---
+
+def _sqe_times(sim, *ops):
+    return [(e[1], e[3]) for e in sim.host.events
+            if e[0] == "sqe" and e[3] in ops]
+
+
+def test_open_and_close_publish_both_sqes_before_waiting():
+    # the host consumes each pair in one slice: nothing waited in between
+    def body(rt, out):
+        sh = PosixShim(rt)
+        for _ in range(2):  # the first open waits for the launch grant
+            fd = yield from sh.open("/data/f")
+            out.setdefault("w", []).append((yield from sh.write(fd, b"q" * 100)))
+            out.setdefault("rc", []).append((yield from sh.close(fd)))
+        out["done"] = True
+
+    sim, rt, out = run_body(body)
+    assert out["w"] == [100, 100] and out["rc"] == [0, 0]
+    pairs = _sqe_times(sim, "open", "statx", "write", "close")
+    assert [op for _, op in pairs] == ["open", "statx", "write", "close"] * 2
+    for i in range(0, 8, 2):
+        assert pairs[i][0] == pairs[i + 1][0], pairs
+    assert bytes(sim.vfs.files["/data/f"].data[:100]) == b"q" * 100
+
+
+def _flagged_first(monkeypatch):
+    """A host that drops SQE_DRAIN and runs a flagged SQE at once, ahead of
+    the SQEs consumed before it."""
+    service = HostOs._service
+
+    def service_first(self, eid, sqe, now):
+        if sqe.flags & ringmod.SQE_DRAIN:
+            return service(self, eid, sqe._replace(flags=0), now - 20_000)
+        return service(self, eid, sqe, now)
+
+    monkeypatch.setattr(HostOs, "_service", service_first)
+
+
+TAU = 2_000_000
+
+
+def test_close_run_ahead_of_its_tail_write_fails(monkeypatch):
+    _flagged_first(monkeypatch)
+
+    def body(rt, out):
+        sh = PosixShim(rt, timeout_ns=TAU)
+        fd = yield from sh.open("/data/f")
+        out["w"] = yield from sh.write(fd, b"z" * 100)   # a staged tail
+        t0 = rt.now()
+        out["rc"] = yield from sh.close(fd)
+        out["took"] = rt.now() - t0
+        out["done"] = True
+
+    sim, rt, out = run_body(body)
+    assert out["w"] == 100
+    assert out["rc"] == -EBADF and out["took"] <= TAU   # the write found no fd
+    assert b"z" not in b"".join(f.data for f in sim.vfs.files.values())
+
+
+def test_statx_run_ahead_of_a_creating_open_fails(monkeypatch):
+    _flagged_first(monkeypatch)
+
+    def body(rt, out):
+        sh = PosixShim(rt, timeout_ns=TAU)
+        out["f"] = yield from sh.open("/data/f")      # exists: statx holds
+        t0 = rt.now()
+        out["new"] = yield from sh.open("/data/new", create=True)
+        out["took"] = rt.now() - t0
+        out["geo"] = {fd: (f.block_size, f.pseudo)
+                      for fd, f in sh._files.items()}
+        out["done"] = True
+
+    sim, rt, out = run_body(body)
+    assert out["new"] == -ENOENT and out["took"] <= TAU
+    assert out["geo"] == {out["f"]: (1024, False)}  # no other file's record
+
+
+def test_denied_write_does_not_hold_back_a_drain_close():
+    def body(rt, out):
+        sh = PosixShim(rt, timeout_ns=TAU)
+        fd = yield from sh.open("/data/f")
+        yield from sh.write(fd, b"d" * 100)
+        t0 = rt.now()
+        out["rc"] = yield from sh.close(fd)
+        out["took"] = rt.now() - t0
+        out["done"] = True
+
+    sim, rt, out = run_body(
+        body, policy=AdversaryPolicy(per_op={"write": ("deny",)}))
+    # the write never lands, so close gives up; but the host closed the fd
+    assert out["rc"] == -ETIMEDOUT and out["took"] <= TAU + 100_000
+    (close,) = [e[4] for e in sim.host.events
+                if e[0] == "sqe" and e[3] == "close"]
+    assert ("cqe", "app", close, 0) in list(sim.host.events)
+    assert sim.host.fds == {}

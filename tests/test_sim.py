@@ -2,6 +2,7 @@
 teardown."""
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -413,6 +414,25 @@ def test_every_runner_closes_the_simulations_it_builds(runner):
     assert len(sims) == {"game1": 16, "game2": 20, "bench": 1,
                          "fuzz": 2}[runner]
     assert all(_holds_no_bytes(sim) for sim in sims)
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_closed_simulations_are_freed_by_reference_counting(runner):
+    # close() leaves no cycle behind (a body's frame, a pending call's
+    # record): with the collector off, no platform outlives its runner
+    gc.collect()
+    gc.disable()
+    try:
+        with _recorded_sims() as sims:
+            RUNNERS[runner]()
+        refs = [weakref.ref(o) for sim in sims
+                for o in (sim, sim.host, sim.authority, sim.sched,
+                          *sim.runtimes.values())]
+        sims.clear()  # the recording class, a cycle itself, holds the list
+        alive = sum(r() is not None for r in refs)
+    finally:
+        gc.enable()
+    assert alive == 0, f"{alive} of {len(refs)} objects outlived the run"
 
 
 def test_consecutive_games_keep_the_traced_peak_low():
