@@ -177,15 +177,16 @@ def _fleet_case(host: str) -> str:
 
 def test_fleet_honest_shared_access_count():
     # every monitored shared-memory access of the honest fleet run, set-up
-    # included (801 loop iterations). The count is deterministic, so a change
+    # included (807 loop iterations). The count is deterministic, so a change
     # that adds index loads or slot copies shows here exactly. It was 30,897
-    # while each ring operation loaded the other side's index afresh, and
+    # while each ring operation loaded the other side's index afresh,
     # 24,904 while poll_wait reloaded the CQ tail (960 loads) that the pump
-    # of the same instant had just read.
+    # of the same instant had just read, and 23,944 (801 iterations) while
+    # open waited for its statx in a second round trip.
     sim, outs = _fleet_sim("honest", monitored=True)
     assert sum(isinstance(r[0], int) for out in outs.values()
-               for r in out) == 801
-    assert sim.authority.monitor.access_count == 23_944
+               for r in out) == 807
+    assert sim.authority.monitor.access_count == 24_137
 
 
 # --- a bulk stream: every read payload spans many shared pages ---
