@@ -237,7 +237,7 @@ def async_statx(rt, file: int | bytes) -> Promise:
     path = None if isinstance(file, int) else \
         file.ljust(ringmod.STATX_BYTES, b"\0")
     return _staged_op(rt, ringmod.OP_STATX,
-                      len(path or bytes(ringmod.STATX_BYTES)),
+                      ringmod.STATX_BYTES if path is None else len(path),
                       fd=file if path is None else ringmod.AT_FDCWD,
                       payload=path,
                       finish=lambda arena, _result: ringmod.STATX_FMT

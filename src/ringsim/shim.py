@@ -125,7 +125,7 @@ class PosixShim:
                 (ringmod.OPENF_TRUNC if trunc else 0)
         opened = async_open(self.rt, path.encode(), flags)
         stat = async_statx(self.rt, path.encode())
-        stat.args.flags = ringmod.SQE_DRAIN  # both go before the first wait
+        stat.args.flags = ringmod.SQE_DRAIN  # the host runs it after the open
         fd = yield from sync_call(self.rt, opened, self.timeout_ns)
         if fd < 0:
             abandon(self.rt, stat)
