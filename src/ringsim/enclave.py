@@ -122,13 +122,14 @@ class RingHandle:
         a grant record) goes into the private table, never into shared
         memory; the published user_data is a fresh internal id, returned as
         an opaque receipt (usable with retire()). While the table or the
-        ring is full the submission is parked for pump_parked() instead, and
-        the result is None. An untranslatable buffer raises and changes
-        nothing.
+        ring is full, or anything is parked (the host consumes in submission
+        order), the submission is parked for pump_parked() instead, and the
+        result is None. An untranslatable buffer raises and changes nothing.
         """
         self._sq.begin_produce()
         try:
-            internal = self._push(opcode, args, caller_tag) if self._has_room() else None
+            internal = None if self._parked or not self._has_room() else \
+                self._push(opcode, args, caller_tag)
         finally:
             self._sq.end_produce()
         if internal is None:

@@ -131,8 +131,10 @@ class PosixShim:
             abandon(self.rt, stat)
             return fd
         geo = yield from sync_call(self.rt, stat, self.timeout_ns)
-        if isinstance(geo, int):
-            return geo  # statx refused; surface its errno
+        if isinstance(geo, int):  # statx refused: close the fd, surface errno
+            abandon(self.rt, self.rt.submit_async(
+                ringmod.OP_CLOSE, SqeArgs(fd=fd, translate=False)))
+            return geo
         _size, block, pseudo = geo
         self._files[fd] = _ShimFile(fd, max(block, 1), bool(pseudo))
         return fd

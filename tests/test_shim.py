@@ -606,6 +606,20 @@ def test_statx_run_ahead_of_a_creating_open_fails(monkeypatch):
     assert out["geo"] == {out["f"]: (1024, False)}  # no other file's record
 
 
+def test_a_failed_statx_closes_the_opened_fd(monkeypatch):
+    _flagged_first(monkeypatch)
+
+    def body(rt, out):
+        sh = PosixShim(rt, timeout_ns=TAU)
+        out["new"] = yield from sh.open("/data/new", create=True)
+        out["done"] = True
+
+    sim, rt, out = run_body(body)
+    assert out["new"] == -ENOENT
+    assert "/data/new" in sim.vfs.files and sim.host.fds == {}
+    assert rt.pool.outstanding == 0 and not rt.handle._table
+
+
 def test_denied_write_does_not_hold_back_a_drain_close():
     def body(rt, out):
         sh = PosixShim(rt, timeout_ns=TAU)

@@ -250,6 +250,31 @@ def test_pump_rings_one_doorbell_for_every_parked_submission_it_publishes():
     assert per_pump == [1, 1, 1, 1, 1]
 
 
+def test_a_fresh_submission_queues_behind_parked_ones():
+    # the host consumes in submission order: a close published while a
+    # getpid is still parked must not overtake it, so SQE_DRAIN means
+    # "after everything submitted earlier"
+    sim = app_sim(cfg=SimConfig(sq_entries=2, cq_entries=2))
+
+    def body(rt, out):
+        for _ in range(3):  # the third parks
+            rt.submit_async(ringmod.OP_GETPID, SqeArgs(translate=False))
+        yield ("yield",)  # the host consumes the first two
+        out["parked"] = rt.handle.parked_count
+        rt.submit_async(ringmod.OP_CLOSE, SqeArgs(
+            fd=3, flags=ringmod.SQE_DRAIN, translate=False))
+        out["queued"] = rt.handle.parked_count
+        while True:
+            rt.pump()
+            yield ("yield",)
+
+    rt, out = spawn_app(sim, body)
+    sim.run_until(1_000_000)
+    assert out["parked"] == 1 and out["queued"] == 2
+    assert [e[3] for e in sim.host.events if e[0] == "sqe"] == \
+        ["getpid"] * 3 + ["close"]
+
+
 # --- pump: the batch drain runs the per-entry steps ---
 
 def test_pump_delivers_every_completion_through_peek_cqe_and_ring_peek(
