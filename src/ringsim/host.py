@@ -276,9 +276,9 @@ class HostOs:
         return served
 
     def quiet_until(self) -> int | None:
-        """After a slice that served nothing with workers pending: the first
-        instant at which another slice could act (a worker due, the poller's
-        idle deadline, the proxy kill), or None when any slice may act (each
+        """After a slice that left workers pending: the first instant at
+        which another slice could act (a worker due, the poller's idle
+        deadline, the proxy kill), or None when any slice may act (each
         scribbling slice draws from the rng; a pending wake is handled at
         the next slice)."""
         if self.policy.scribble_rate > 0 or self.pending_wake:

@@ -4,20 +4,15 @@ Tasks are generator bodies that yield scheduling commands:
 
     ("compute", ns)  consume ns of budget/CPU (side effects in body code run
                      at the simulated instant the generator is resumed)
-    ("wait", tick, until)
-                     burn budget in `tick` units exactly like repeated
-                     ("compute", tick), but resume the body only at the end
-                     of the first tick that ends at or after `until` (never,
-                     for until=None). The wait also ends early: once the
-                     task has been descheduled (preempt or exhaust) and is
-                     dispatched again, or once run_until is entered again,
-                     the body resumes at the end of the tick in progress, or
-                     at once if a tick had just ended. Those are exactly the
-                     instants at which a body polling tick by tick could
-                     next see a change, since nothing else runs while it
-                     holds the one core. The body is sent the number of
-                     ticks burned.
+    ("block", until) leave the eligible set and spend no budget until the
+                     first of `until` (never, for None), the task's next
+                     release, or wake(name); the budget left is kept, as a
+                     deferrable server keeps it. A block whose `until` has
+                     passed resumes the body at once.
     ("yield",)       forfeit the rest of this period's budget
+
+A body is sent `now` at every resume after its first. A woken task that
+outranks the running one preempts it at once.
 
 Each task gets `budget` of execution every `period`; admission enforces the
 utilization sum, budget exhaustion forces preemption, replenishment happens
@@ -25,11 +20,11 @@ exactly at period boundaries. Fixed-priority chooses the highest priority
 (ties: lower task id); EDF chooses the earliest deadline (ties: earlier
 admission). advance() is a pure function of scheduler state, so identical
 inputs replay identical traces. A slice pays one check for what did not
-change: only a slice that starts at the cached earliest replenish instant
-scans the tasks to replenish, and fixed priority dispatches the first
-eligible task of a list kept sorted by (-priority, tid) as tasks are
-admitted and exit (EDF scans for the earliest deadline). `trace_enabled`
-and `record_timeline` are read once per run_until call.
+change: only a slice that starts at the cached earliest release or block
+end scans the tasks, and fixed priority dispatches the first eligible task
+of a list kept sorted by (-priority, tid) as tasks are admitted and exit
+(EDF scans for the earliest deadline). `trace_enabled` and
+`record_timeline` are read once per run_until call.
 """
 from __future__ import annotations
 
@@ -47,10 +42,6 @@ EDF = "edf"
 ENCLAVE = "enclave"
 HOST = "host"
 
-# how far a wait without `until` reaches; it always ends first at the
-# deschedule that budget exhaustion forces
-_FOREVER = 1 << 62
-
 
 @dataclass
 class TaskControl:
@@ -63,12 +54,11 @@ class TaskControl:
     remaining: int = 0
     next_replenish: int = 0
     deadline: int = 0
-    yielded: bool = False
+    yielded: bool = False        # off the eligible set: yielded or blocked
     alive: bool = True
     started: bool = False
     cmd_left: int | None = None
-    wait_tick: int = 0           # tick of the wait in progress, 0 if none
-    wait_from: int = 0           # executed_total when that wait began
+    wake_at: int | None = None   # end of the block in progress, if any
     executed_total: int = 0
     window_executed: int = 0
     gen: Iterator | None = None
@@ -92,7 +82,8 @@ class BudgetScheduler:
         # hook(now, task) fired at each replenish boundary, before reset
         self.on_replenish: Callable | None = None
         self.util = Fraction(0)
-        self._boundary: int | None = None  # min next_replenish of live tasks
+        # min over live tasks of next_replenish, or wake_at while blocked
+        self._boundary: int | None = None
         self.resumes = 0  # body resumes so far; the count names the current one
 
     # --- admission ---
@@ -129,12 +120,14 @@ class BudgetScheduler:
     # --- core loop ---
 
     def _refresh_boundary(self) -> None:
-        self._boundary = min((t.next_replenish for t in self._order),
+        self._boundary = min((t.next_replenish if t.wake_at is None
+                              else t.wake_at for t in self._order),
                              default=None)
 
     def _do_replenish(self, record) -> None:
-        """Replenish the due tasks; run_until calls it at the boundary.
-        `record` is the trace's record method, or None when tracing is off."""
+        """Replenish the due tasks and end the due blocks; run_until calls
+        it at the boundary. `record` is the trace's record method, or None
+        when tracing is off."""
         now = self.now
         boundary = None
         for t in self._order:
@@ -143,14 +136,32 @@ class BudgetScheduler:
                     self.on_replenish(now, t)
                 t.remaining = t.budget
                 t.yielded = False
+                t.wake_at = None
                 t.window_executed = 0
                 t.deadline = t.next_replenish + t.period
                 t.next_replenish += t.period
                 if record is not None:
                     record(now, t.name, "replenish")
-            if boundary is None or t.next_replenish < boundary:
-                boundary = t.next_replenish
+            elif t.wake_at is not None and t.wake_at <= now:
+                t.yielded = False
+                t.wake_at = None
+            nxt = t.next_replenish if t.wake_at is None else t.wake_at
+            if boundary is None or nxt < boundary:
+                boundary = nxt
         self._boundary = boundary
+
+    def wake(self, name: str) -> None:
+        """End the block of task `name`, if it is blocked (an interrupt)."""
+        t = self.tasks.get(name)
+        if t is None or t.wake_at is None:
+            return
+        t.yielded = False
+        t.wake_at = None
+        run = self._running
+        if run is not None and ((t.deadline, t.tid) < (run.deadline, run.tid)
+                                if self.policy == EDF else
+                                (-t.priority, t.tid) < (-run.priority, run.tid)):
+            self._boundary = self.now  # re-pick before the next slice
 
     def _exit_task(self, t: TaskControl, record) -> None:
         t.alive = False
@@ -169,11 +180,7 @@ class BudgetScheduler:
             guard += 1
             if guard > 4096:
                 raise RuntimeError(f"task {t.name} spins on zero-cost commands")
-            if t.wait_tick:
-                value = (t.executed_total - t.wait_from) // t.wait_tick
-                t.wait_tick = 0
-            else:
-                value = self.now if t.started else None
+            value = self.now if t.started else None
             t.started = True
             self.resumes += 1
             try:
@@ -182,37 +189,32 @@ class BudgetScheduler:
                 self._running = None
                 self._exit_task(t, record)
                 return False
-            if cmd[0] == "compute":
+            kind = cmd[0]
+            if kind == "compute":
                 t.cmd_left = cmd[1]
-            elif cmd[0] == "wait":
-                _, tick, until = cmd
-                if tick <= 0:
-                    raise ValueError(f"wait tick must be positive: {cmd!r}")
-                span = _FOREVER if until is None else until - self.now
-                # whole ticks up to the first tick end at or after `until`
-                t.cmd_left = tick * max(1, -(-span // tick))
-                t.wait_tick = tick
-                t.wait_from = t.executed_total
-            elif cmd[0] == "yield":
-                t.yielded = True
-                t.cmd_left = None
-                if record is not None:
-                    record(self.now, t.name, "yield")
-                self._running = None
-                return False
-            else:
+                continue
+            if kind == "block":
+                until = cmd[1]
+                if until is not None and until <= self.now:
+                    continue  # due already: resume at once
+                nxt = t.next_replenish
+                t.wake_at = wake = nxt if until is None or until > nxt else until
+                if wake < self._boundary:
+                    self._boundary = wake
+            elif kind != "yield":
                 raise ValueError(f"unknown scheduling command {cmd!r}")
+            t.yielded = True
+            t.cmd_left = None
+            if record is not None:
+                record(self.now, t.name, kind)
+            self._running = None
+            return False
         return True
 
     def advance(self, dt: int) -> None:
         self.run_until(self.now + dt)
 
     def run_until(self, t_end: int) -> None:
-        # callers may change the world between calls (spawns, injected
-        # completions), so a wait in progress ends as on a re-dispatch
-        running = self._running
-        if running is not None and running.wait_tick:
-            running.cmd_left %= running.wait_tick
         record = self.trace.record if self.trace_enabled else None
         timeline = self.timeline if self.record_timeline else None
         fp = self.policy == FP
@@ -237,11 +239,8 @@ class BudgetScheduler:
                 if running is not None and record is not None:
                     record(now, running.name, "preempt")
                 self._running = task
-                if task is not None:
-                    if record is not None:
-                        record(now, task.name, "dispatch")
-                    if task.wait_tick:  # cut to the tick in progress
-                        task.cmd_left %= task.wait_tick
+                if task is not None and record is not None:
+                    record(now, task.name, "dispatch")
             if task is None:
                 nxt = self._boundary
                 self.now = t_end if nxt is None else min(nxt, t_end)

@@ -1,15 +1,12 @@
 """Synchronous call layer and a buffered POSIX-flavored facade.
 
 Task bodies are generators, so every blocking call here is also a generator
-and is entered with `yield from`. A synchronous wait is charged a fixed
-poll tick at a time, but resumes only when there can be news: while a pump
-could not change anything, `EnclaveRuntime.poll_wait` hands the scheduler a
-wait that burns ticks without resuming the body until the deadline or alarm
-tick or the next deschedule, and it falls back to one busy-poll tick
-otherwise. Results, timings and traces equal those of a loop that pumps
-every tick. Every timeout, a `PosixShim` staging drain's included, counts
-simulated time from the call's start, not the ticks the task burned, so a
-call gives up within its timeout plus one period whatever its budget. The
+and is entered with `yield from`. A synchronous wait polls through
+`EnclaveRuntime.poll_wait`: one busy poll tick while a pump could change
+something, else a scheduler block that spends no budget until the deadline
+or alarm, the task's next release or a wake. Every timeout, a `PosixShim`
+staging drain's included, counts simulated time from the call's start, so
+a call gives up within its timeout plus one period whatever its budget. The
 layer converts the three ways a wait can end into errno conventions:
 negative errno for host refusals, -ETIMEDOUT when the caller's deadline
 passes, -EINTR when an alarm fires first, -EAGAIN for a zero-timeout
@@ -23,8 +20,9 @@ The file facade stages writes privately and submits block-multiple chunks at
 tracked offsets, one write (a staged op, whose `landed` hook submits the next
 chunk) in flight per file; write errors poison later calls, as in buffered
 POSIX io; pseudo files skip staging. Open takes one host round trip: the open
-and a path statx flagged SQE_DRAIN go out together. So does close when no
-write is in flight: the staged tail and a SQE_DRAIN close go out together.
+and a path statx flagged SQE_DRAIN go out together (a failed statx closes
+the new fd). So does close when no write is in flight: the staged tail and a
+SQE_DRAIN close go out together.
 """
 from __future__ import annotations
 

@@ -30,11 +30,12 @@ class TrustedKernel:
 
     It validates every grant an enclave wants to attach, maps ring regions,
     and forwards enter notifications to the host as a masked wake interrupt
-    plus a record in the shared wake queue page.
+    plus a record in the shared wake queue page, and wakes the host task.
     """
 
-    def __init__(self, authority: MemoryAuthority):
+    def __init__(self, authority: MemoryAuthority, sched: BudgetScheduler):
         self.authority = authority
+        self._sched = sched
         self.host: HostOs | None = None
         self.max_regions_per_owner = 128
         self._regions_by_owner: dict[str, int] = {}
@@ -54,12 +55,14 @@ class TrustedKernel:
     def ring_enter(self, caller: str) -> None:
         """Trusted syscall surface for "work is queued", rung by
         RingHandle.prep_and_submit and pump_parked after they publish: append
-        to the wake queue and raise the (masked) host interrupt."""
+        to the wake queue, raise the (masked) host interrupt and end the
+        host task's block (the doorbell)."""
         ordinal = self._caller_ordinals.setdefault(caller,
                                                    len(self._caller_ordinals))
         self._wake_count = (self._wake_count + 1) & 0xFFFFFFFF
         self._wake_window.pack(WAKE_FMT, 0, self._wake_count, ordinal)
         self.host.notify_enter()
+        self._sched.wake(self.host.name)
 
     def attach_shared(self, space, region_id: int, rsize: int) -> int:
         """Map a host-registered grant into an enclave space.
@@ -128,27 +131,25 @@ class EnclaveRuntime:
         return n
 
     def poll_wait(self, until: int | None):
-        """Burn poll ticks until there may be news: `yield from` it.
+        """Wait until there may be news: `yield from` it.
 
-        While another pump() could not change anything (no deferred
-        continuation, nothing parked that could go out, no completion
-        backlog), nothing can: no other task runs while this one holds the
-        core. Then the scheduler burns ticks without resuming the body, up
-        to the first tick end at or after `until` or the next deschedule.
-        Otherwise this is one plain tick, as in a busy-poll loop. Returns the
-        ticks burned. The backlog, and whether parked entries are stuck, are
-        what a pump in this same resume of the body left: with no yield
-        since, the host has not run, so only a retire can make room.
+        While another pump() could change something (a deferred
+        continuation, a parked entry that could go out, a completion
+        backlog), this is one busy-poll tick. Otherwise the task blocks,
+        spending no budget, until `until`, its next release or a wake, while
+        lower-priority tasks (the host) run. The backlog, and whether parked
+        entries are stuck, are what a pump in this same resume of the body
+        left: with no yield since, the host has not run, so only a retire
+        can make room.
         """
-        tick = self.cfg.poll_tick
         h = self.handle
         fresh = self._pumped_in == self._sched.resumes
         if self.pool.deferred_count or \
                 (h.parked_count and not (fresh and h.stuck)) or \
                 (h.backlog if fresh else h.cq_backlog()):
-            yield ("compute", tick)
-            return 1
-        return (yield ("wait", tick, until))
+            yield ("compute", self.cfg.poll_tick)
+        else:
+            yield ("block", until)
 
     def device_tx(self, payload: bytes) -> None:
         self.device.tx(self._sched.now, self.name, payload)
@@ -167,10 +168,10 @@ class Simulation:
         self.authority = MemoryAuthority()
         self.authority.table.set_quota("proxy", 8192)
         self.authority.table.set_quota("kernel", 16)
-        self.kernel = TrustedKernel(self.authority)
+        self.sched = BudgetScheduler(sched_policy, keep_records)
+        self.kernel = TrustedKernel(self.authority, self.sched)
         self.device = SecureSerialDevice(tx_capacity=1 << 20)
         self.keep_records = keep_records
-        self.sched = BudgetScheduler(sched_policy, keep_records)
         self.vfs = VirtualFs.from_manifest(manifest) if manifest else VirtualFs()
         self.policy = policy or AdversaryPolicy()
         proxy_space = self.authority.create_space("proxy", NORMAL,
@@ -185,24 +186,21 @@ class Simulation:
 
     def add_host_task(self, period: int = 100_000, budget: int = 50_000,
                       priority: int = 0) -> None:
-        self.sched.admit("host0", HOST, period, budget, self._host_body(),
-                         priority)
+        self.sched.admit(self.host.name, HOST, period, budget,
+                         self._host_body(), priority)
 
     def _host_body(self):
+        """One slice per step, then a block until the next release or, with
+        workers pending, until the next slice could act (none while any
+        slice may act); a doorbell ends the block."""
         host, step = self.host, self.cfg.host_step_cost
-        until = None
         while True:
-            if until is None:
-                yield ("compute", step)
-            else:
-                yield ("wait", step, until)
-            served = host.on_slice(self.sched.now)
-            until = None
-            if served == 0:
-                if host.workers:
-                    until = host.quiet_until()
-                else:
-                    yield ("yield",)
+            yield ("compute", step)
+            host.on_slice(self.sched.now)
+            if not host.workers:
+                yield ("block", None)
+            elif (until := host.quiet_until()) is not None:
+                yield ("block", until)
 
     # --- enclave launch flow ---
 

@@ -184,9 +184,9 @@ class RefTask:
         self.yielded = False
         self.alive = True
         self.cmd_left = None
-        self.wait = None          # (tick, until) of the wait in progress
-        self.wait_ticks = 0
-        self.wait_ending = False  # descheduled or re-entered since it began
+        self.blocked = False
+        self.until = None         # `until` of the block in progress
+        self.block_ip = None      # script index of the block to log
         self.executed_total = 0
         self.window_executed = 0
 
@@ -195,12 +195,14 @@ class RefSched:
     """Tick-at-a-time reference. Scripts are finite lists of scheduling
     commands; running off the end exits the task.
 
-    A ("wait", tick, until) runs as ("compute", tick) repeated. Whenever a
-    tick has ended and the task next gets the core (when a polling body
-    would run next), the wait ends if now >= until, or if the task was
-    dispatched again or run_until was entered since the wait began.
-    `starts` records (now, task, script index) as each command is taken
-    up, `waits` (now, task, script index, ticks) as each wait ends.
+    A ("block", until) takes the task off the eligible set until a tick
+    starts at or after `until`, its next release, or wake(name); one whose
+    `until` has passed resumes at once. A ("wake", name) entry calls
+    wake(name) and takes up the next command. After each resume the task is
+    picked again, so a task woken by the running one preempts it before its
+    next tick. `starts` records (now, task, script index) as each command is
+    taken up, `blocks` (now, task, script index, now) as each block ends in
+    a resume.
     """
 
     def __init__(self, policy: str):
@@ -211,7 +213,8 @@ class RefSched:
         self.trace: list[tuple[int, str, str]] = []
         self.ticks: list[tuple[int, str]] = []
         self.starts: list[tuple[int, str, int]] = []
-        self.waits: list[tuple[int, str, int, int]] = []
+        self.blocks: list[tuple[int, str, int, int]] = []
+        self.woken = 0            # blocks ended by wake()
         self._running: RefTask | None = None
 
     def admit(self, name, kind, period, budget, script, priority=0):
@@ -221,20 +224,29 @@ class RefSched:
         self.tasks.append(t)
         return t
 
+    def wake(self, name):
+        for t in self.tasks:
+            if t.name == name and t.blocked:
+                t.blocked = False
+                self.woken += 1
+
     def _replenish(self):
         for t in self.tasks:
             if t.alive and t.next_replenish <= self.now:
                 t.remaining = t.budget
-                t.yielded = False
+                t.yielded = t.blocked = False
                 t.window_executed = 0
                 t.deadline = t.next_replenish + t.period
                 t.next_replenish += t.period
                 self.trace.append((self.now, t.name, "replenish"))
+            if t.blocked and t.until is not None and t.until <= self.now:
+                t.blocked = False
 
     def _pick(self):
         best, best_key = None, None
         for t in self.tasks:
-            if not (t.alive and not t.yielded and t.remaining > 0):
+            if not (t.alive and not t.yielded and not t.blocked
+                    and t.remaining > 0):
                 continue
             key = (-t.priority, t.tid) if self.policy == "fp" \
                 else (t.deadline, t.tid)
@@ -250,18 +262,12 @@ class RefSched:
         self._running = t
         if t is not None:
             self.trace.append((self.now, t.name, "dispatch"))
-            t.wait_ending = True
 
     def _ensure_command(self, t) -> bool:
         while t.cmd_left is None or t.cmd_left == 0:
-            if t.wait is not None:
-                tick, until = t.wait
-                t.wait_ticks += 1
-                if not t.wait_ending and (until is None or self.now < until):
-                    t.cmd_left = tick
-                    continue
-                self.waits.append((self.now, t.name, t.ip - 1, t.wait_ticks))
-                t.wait = None
+            if t.block_ip is not None:  # the body resumes after a block
+                self.blocks.append((self.now, t.name, t.block_ip, self.now))
+                t.block_ip = None
             if t.ip >= len(t.script):
                 self._running = None
                 t.alive = False
@@ -272,11 +278,16 @@ class RefSched:
             t.ip += 1
             if cmd[0] == "compute":
                 t.cmd_left = cmd[1]
-            elif cmd[0] == "wait":
-                t.wait = cmd[1:]
-                t.wait_ticks = 0
-                t.wait_ending = False
-                t.cmd_left = cmd[1]
+            elif cmd[0] == "wake":
+                self.wake(cmd[1])
+            elif cmd[0] == "block":
+                t.block_ip = t.ip - 1
+                if cmd[1] is not None and cmd[1] <= self.now:
+                    continue
+                t.blocked, t.until = True, cmd[1]
+                self.trace.append((self.now, t.name, "block"))
+                self._running = None
+                return False
             else:  # yield
                 t.yielded = True
                 t.cmd_left = None
@@ -286,8 +297,6 @@ class RefSched:
         return True
 
     def run_until(self, t_end: int):
-        if self._running is not None:
-            self._running.wait_ending = True
         while self.now < t_end:
             self._replenish()
             task = self._pick()
@@ -296,7 +305,7 @@ class RefSched:
                 self.now += 1
                 continue
             self._set_running(task)
-            if not self._ensure_command(task):
+            if not self._ensure_command(task) or self._pick() is not task:
                 continue
             self.ticks.append((self.now, task.name))
             self.now += 1
@@ -317,16 +326,19 @@ def script_gen(script):
     return body()
 
 
-def recorded_script_gen(sched, name, script, starts, waits):
+def recorded_script_gen(sched, name, script, starts, blocks):
     """script_gen that logs like RefSched: (now, name, index) as each command
-    is taken up into `starts`, (now, name, index, ticks) as each wait ends
-    into `waits`."""
+    is taken up into `starts`, (now, name, index, value sent) as each block
+    ends into `blocks`; a ("wake", task) entry calls sched.wake(task)."""
     def body():
         for i, cmd in enumerate(script):
             starts.append((sched.now, name, i))
+            if cmd[0] == "wake":
+                sched.wake(cmd[1])
+                continue
             sent = yield cmd
-            if cmd[0] == "wait":
-                waits.append((sched.now, name, i, sent))
+            if cmd[0] == "block":
+                blocks.append((sched.now, name, i, sent))
     return body()
 
 

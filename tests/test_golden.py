@@ -116,6 +116,7 @@ FLEET = (
     ("nav", 250_000, 25_000, 6, 64, 200, 5_000, 6, 300_000),
     ("tlm", 500_000, 40_000, 3, 96, 700, 8_000, 4, 1_500_000),
 )
+FLEET_RUN_NS = 60_000_000
 FLEET_HOSTS = {
     "honest": AdversaryPolicy(),
     "slow_write": AdversaryPolicy(per_op={"write": ("delay", 2_500_000)}),
@@ -143,10 +144,11 @@ def _fleet_body(rt, out, read_len, rec_len, compute, flush_every, timeout):
         yield ("yield",)
 
 
-def _fleet_sim(host: str, monitored: bool = False, keep: bool = True):
-    """-> (Simulation, outs) after the fixed-time run against `host`; with
-    `monitored`, the access monitor is armed from set-up on; `keep` is the
-    Simulation's keep_records."""
+def _fleet_sim(host: str, monitored: bool = False, keep: bool = True,
+               step: int = 10_000_000):
+    """-> (Simulation, outs) after the fixed-time run against `host`, driven
+    by run_until calls `step` apart; with `monitored`, the access monitor is
+    armed from set-up on; `keep` is the Simulation's keep_records."""
     # 512-byte log blocks and a small staging cap make the big tlm records
     # wait for the drain
     cfg = SimConfig(write_staging_cap=2048)
@@ -165,14 +167,22 @@ def _fleet_sim(host: str, monitored: bool = False, keep: bool = True):
             name, period, budget,
             lambda rt, out=out, shape=shape: _fleet_body(rt, out, *shape),
             env={INIT_SHM_ENV: "65536"}, priority=prio)
-    for t in range(10_000_000, 60_000_001, 10_000_000):
-        sim.run_until(t)  # several calls: waits must survive re-entry
+    for t in range(step, FLEET_RUN_NS + 1, step):
+        sim.run_until(t)  # several calls: blocks must survive re-entry
+    sim.run_until(FLEET_RUN_NS)
     return sim, outs
 
 
-def _fleet_case(host: str) -> str:
-    sim, outs = _fleet_sim(host)
+def _fleet_case(host: str, step: int = 10_000_000) -> str:
+    sim, outs = _fleet_sim(host, step=step)
     return _digest(outs, [sim])
+
+
+@pytest.mark.parametrize("host", sorted(FLEET_HOSTS))
+def test_fleet_run_does_not_depend_on_how_run_until_is_sliced(host):
+    once = _fleet_case(host, FLEET_RUN_NS)
+    for step in (1_000_000, 37_000, 5_000):
+        assert _fleet_case(host, step) == once, step
 
 
 def test_fleet_honest_shared_access_count():

@@ -130,47 +130,52 @@ def test_traces_match_bruteforce_reference():
             f"trial {trial} ({policy})"
 
 
-def _random_wait_taskset(rng, n, horizon):
-    tasks = []
-    for name, period, budget, prio, _ in _random_taskset(rng, n):
+def _random_block_taskset(rng, n, horizon):
+    tasks = _random_taskset(rng, n)
+    names = [task[0] for task in tasks]
+    out = []
+    for name, period, budget, prio, _ in tasks:
         script = []
         for _ in range(rng.randrange(1, 9)):
             roll = rng.random()
             if roll < 0.3:
                 script.append(("compute", rng.randrange(1, 12)))
-            elif roll < 0.85:
-                until = None if rng.random() < 0.2 \
+            elif roll < 0.65:
+                until = None if rng.random() < 0.4 \
                     else rng.randrange(0, horizon + 10)
-                script.append(("wait", rng.randrange(1, 6), until))
+                script.append(("block", until))
+            elif roll < 0.92:
+                script.append(("wake", rng.choice(names)))
             else:
                 script.append(("yield",))
-        tasks.append((name, period, budget, prio, script))
-    return tasks
+        out.append((name, period, budget, prio, script))
+    return out
 
 
 def test_wait_matches_tick_by_tick_reference():
-    # priorities drawn from two values tie often under FP, finite scripts
-    # exit mid-run, and the last task is admitted at the first cut
+    # blocks end at `until`, at the next release, or at a wake from a task
+    # body or from outside between run_until calls; priorities drawn from
+    # two values tie often under FP, finite scripts exit mid-run, and the
+    # last task is admitted at the first cut
     rng = random.Random(5151)
-    waits_ended = exits = late_dispatches = 0
+    blocks_ended = woken = exits = late_dispatches = preempted = 0
     for trial in range(120):
         policy = FP if trial % 2 == 0 else EDF
         horizon = rng.randrange(50, 300)
         tasks = [(name, period, budget, prio % 2, script)
                  for name, period, budget, prio, script in
-                 _random_wait_taskset(rng, rng.randrange(1, 6), horizon)]
-        # re-entering run_until ends waits in progress; cut the run up
+                 _random_block_taskset(rng, rng.randrange(1, 6), horizon)]
         cuts = sorted(rng.sample(range(1, horizon), rng.randrange(0, 4)))
         late = tasks.pop() if cuts and len(tasks) > 1 else None
         late_name = None
         real = BudgetScheduler(policy)
         real.record_timeline = True
         ref = RefSched(policy)
-        starts, waits = [], []
+        starts, blocks = [], []
 
         def admit(name, period, budget, prio, script):
             real.admit(name, ENCLAVE, period, budget,
-                       recorded_script_gen(real, name, script, starts, waits),
+                       recorded_script_gen(real, name, script, starts, blocks),
                        priority=prio)
             ref.admit(name, ENCLAVE, period, budget, script, priority=prio)
 
@@ -182,35 +187,61 @@ def test_wait_matches_tick_by_tick_reference():
             if late is not None:
                 admit(*late)
                 late_name, late = late[0], None
+            if rng.random() < 0.8:  # an interrupt between the calls
+                name = rng.choice(list(real.tasks))
+                real.wake(name)
+                ref.wake(name)
         what = f"trial {trial} ({policy})"
         assert real.trace == ref.trace, what
         assert expand_timeline(real.timeline) == set(ref.ticks), what
         assert starts == ref.starts, what
-        assert waits == ref.waits, what
-        waits_ended += len(waits)
+        assert blocks == ref.blocks, what
+        blocks_ended += len(blocks)
+        woken += ref.woken
         exits += sum(ev == "exit" for _, _, ev in real.trace)
         late_dispatches += (late_name, "dispatch") in \
             {(name, ev) for _, name, ev in real.trace}
-    assert waits_ended > 200 and exits > 100 and late_dispatches > 30
+        preempted += sum(ev == "preempt" for _, _, ev in real.trace)
+    assert blocks_ended > 200 and woken > 30 and exits > 100
+    assert late_dispatches > 30 and preempted > 20
 
 
-def test_wait_sends_ticks_and_rejects_bad_tick():
+def test_block_ends_at_until_release_or_wake():
     s = BudgetScheduler(FP)
+    s.record_timeline = True
     got = []
 
-    def body():
-        for cmd in (("wait", 3, 10),    # 4 ticks: the first to end >= 10
-                    ("wait", 5, 0),     # until already passed: one tick
-                    ("wait", 2, None)): # exhausts at 30 in its 7th tick
-            ticks = yield cmd
-            got.append((s.now, ticks))
-        yield ("wait", 0, None)
+    def sleeper():
+        for cmd in (("block", 10),     # ends at until, preempting k
+                    ("block", 5),      # until passed: resumes at once
+                    ("block", 95),     # ends at the release at 40
+                    ("block", None),   # k's wake ends it at 47
+                    ("block", None)):  # ends at the release at 80
+            got.append((yield ("compute", 1)))
+            got.append((yield cmd))
+        yield ("jump",)
 
-    s.admit("w", ENCLAVE, 40, 30, body())
+    def waker():
+        yield ("compute", 10)  # done as its budget runs out at 13
+        yield ("compute", 6)
+        s.wake("w")  # w outranks k: it runs at once
+        yield ("compute", 5)
+
+    s.admit("w", ENCLAVE, 40, 30, sleeper(), priority=2)
+    s.admit("k", ENCLAVE, 40, 10, waker(), priority=1)
+    s.run_until(40)
+    s.wake("k")  # not blocked: nothing happens
     with pytest.raises(ValueError):
-        s.run_until(80)
-    # the 7th tick ends after the re-dispatch at 40
-    assert got == [(12, 4), (17, 1), (41, 7)]
+        s.run_until(120)
+    assert got == [1, 10, 11, 11, 12, 40, 41, 47, 48, 80]
+    blocks = [now for now, name, ev in s.trace if ev == "block"]
+    assert blocks == [1, 12, 41, 48]
+    assert [now for now, name, ev in s.trace if ev == "preempt"] == [10, 47]
+    # a blocked task keeps the budget it did not spend
+    assert s.timeline[:5] == [(0, 1, "w"), (1, 10, "k"), (10, 11, "w"),
+                              (11, 12, "w"), (12, 13, "k")]
+    assert s.timeline[5:] == [(40, 41, "w"), (41, 47, "k"), (47, 48, "w"),
+                              (48, 52, "k")]
 
 
 def test_trace_replay_determinism():

@@ -272,7 +272,7 @@ def test_delayed_reads_outlive_a_full_table_of_later_calls():
     assert out["at"] < 90_000_000
 
 
-# --- scheduler-level waits against polling every tick ---
+# --- blocking waits against one more poll at every block ---
 
 WAIT_HOSTS = {
     "honest": AdversaryPolicy(),
@@ -338,20 +338,41 @@ def _run_wait_world(policy):
 
 def _poll_every_tick(rt, until):
     yield ("compute", rt.cfg.poll_tick)
-    return 1
+
+
+def _pump_at_every_block(checked):
+    """A poll_wait that pumps once more wherever the real one blocks; that
+    pump must deliver, push and run nothing."""
+    poll_wait = EnclaveRuntime.poll_wait
+
+    def wait(rt, until):
+        cmd = next(poll_wait(rt, until))
+        if cmd[0] == "block":
+            parked, deferred = rt.handle.parked_count, rt.pool.deferred_count
+            assert (rt.pump(), rt.handle.parked_count, deferred) == \
+                (0, parked, 0), f"{rt.name} blocks with news at {rt.now()}"
+            checked.append(rt.now())
+        yield cmd
+    return wait
 
 
 @pytest.mark.parametrize("host", sorted(WAIT_HOSTS))
 def test_waits_match_polling_every_tick(host, monkeypatch):
-    """The same bodies with every wait turned back into a loop that pumps
-    each poll tick and a host that runs every step must leave the same
-    trace, host events, device output, deliveries and return values."""
-    waited, wait_resumes = _run_wait_world(WAIT_HOSTS[host])
+    """A wait blocks only where polling could not change anything: the same
+    bodies with one more pump at every block must find nothing there and
+    leave the same trace, host events, device output, deliveries and return
+    values. Blocking resumes the bodies far less often than a loop that
+    pumps each poll tick next to a host that runs every step."""
+    blocked, block_resumes = _run_wait_world(WAIT_HOSTS[host])
+    checked = []
+    monkeypatch.setattr(EnclaveRuntime, "poll_wait",
+                        _pump_at_every_block(checked))
+    pumped, _ = _run_wait_world(WAIT_HOSTS[host])
+    assert pumped == blocked and len(checked) > 20
     monkeypatch.setattr(EnclaveRuntime, "poll_wait", _poll_every_tick)
     monkeypatch.setattr(HostOs, "quiet_until", lambda self: None)
-    polled, poll_resumes = _run_wait_world(WAIT_HOSTS[host])
-    assert waited == polled
-    assert wait_resumes * 3 < poll_resumes
+    _, poll_resumes = _run_wait_world(WAIT_HOSTS[host])
+    assert block_resumes * 3 < poll_resumes
 
 
 def _full_table_world():
@@ -383,12 +404,13 @@ def _full_table_world():
 
 
 def test_parked_waits_match_polling_every_tick(monkeypatch):
-    """Waits on calls parked behind a full table idle only while nothing
-    can make room: the run equals one that pumps every poll tick."""
-    waited = _full_table_world()
-    monkeypatch.setattr(EnclaveRuntime, "poll_wait", _poll_every_tick)
-    monkeypatch.setattr(HostOs, "quiet_until", lambda self: None)
-    assert waited == _full_table_world()
+    """Waits on calls parked behind a full table block only while nothing
+    can make room: one more pump at every block finds nothing."""
+    blocked = _full_table_world()
+    checked = []
+    monkeypatch.setattr(EnclaveRuntime, "poll_wait",
+                        _pump_at_every_block(checked))
+    assert blocked == _full_table_world() and len(checked) > 20
 
 
 def test_never_wake_open_resumes_once_or_twice_per_period():

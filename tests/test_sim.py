@@ -366,7 +366,8 @@ def test_poll_wait_loads_the_backlog_again_after_a_yield():
     def body(rt, out):
         out["p"] = rt.submit_async(ringmod.OP_GETPID, SqeArgs())
         yield ("compute", 50_000)  # the whole budget: resumes at 100 us
-        out["ticks"] = yield from rt.poll_wait(None)
+        yield from rt.poll_wait(None)
+        out["back"] = rt.now()
 
     rt, out = spawn_app(sim, body, period=100_000, budget=50_000)
     sim.run_until(100_000)
@@ -374,7 +375,9 @@ def test_poll_wait_loads_the_backlog_again_after_a_yield():
     assert out["p"].state == FULFILLED and rt.handle.cq_backlog() == 0
     sim.host.rings["app"][1].produce(Cqe(1 << 63, 0, 0))
     sim.run_until(200_000)
-    assert out["ticks"] == 1  # one busy-poll tick: there is news to drain
+    # one busy-poll tick, not a block to the next release: there is news
+    assert out["back"] == 100_000 + sim.cfg.poll_tick
+    assert ("app", "block") not in {(n, ev) for _, n, ev in sim.sched.trace}
 
 
 # --- teardown: close() gives back every page at once ---

@@ -210,6 +210,10 @@ def test_parked_reads_behind_a_full_table_wait_without_busy_polling(monkeypatch)
     assert out["pumps"] <= 6, out["pumps"]
 
 
+def _blocks(sim) -> int:
+    return sum(ev == "block" for _, _, ev in sim.sched.trace)
+
+
 def test_a_retired_record_lets_a_parked_call_go_out_at_once():
     # the table is full and a call is parked, so the last pump was stuck;
     # a timed-out getpid then retires its record, and the next wait must
@@ -227,7 +231,9 @@ def test_a_retired_record_lets_a_parked_call_go_out_at_once():
         rt.submit_async(OP_GETPID, SqeArgs(translate=False))
         assert len(table) == cap and rt.handle.parked_count == 1
         assert (yield from sync_call(rt, first, 100_000)) == -ETIMEDOUT
-        out["ticks"] = yield from rt.poll_wait(rt.now() + 1_000_000)
+        t0, blocks = rt.now(), _blocks(sim)
+        yield from rt.poll_wait(t0 + 1_000_000)  # a busy tick, not a block
+        out["tick"] = (rt.now() - t0, _blocks(sim) - blocks)
         rt.pump()
         out["parked"] = rt.handle.parked_count
         out["done"] = True
@@ -237,7 +243,7 @@ def test_a_retired_record_lets_a_parked_call_go_out_at_once():
     _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
     sim.run_until(100_000_000)
     assert out.get("done")
-    assert out["ticks"] == 1 and out["parked"] == 0
+    assert out["tick"] == (sim.cfg.poll_tick, 0) and out["parked"] == 0
 
 
 def test_the_first_open_fits_every_promise_cap():
