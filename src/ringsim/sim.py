@@ -190,13 +190,15 @@ class Simulation:
                          self._host_body(), priority)
 
     def _host_body(self):
-        """One slice per step, then a block until the next release or, with
-        workers pending, until the next slice could act (none while any
-        slice may act); a doorbell ends the block."""
-        host, step = self.host, self.cfg.host_step_cost
+        """One slice per step. After a slice that served a whole batch (an
+        SQ may hold more) the next step follows; otherwise the host blocks
+        until its next release or, with workers pending, until the next
+        slice could act (not while any slice may). A doorbell ends it."""
+        host, cfg = self.host, self.cfg
         while True:
-            yield ("compute", step)
-            host.on_slice(self.sched.now)
+            yield ("compute", cfg.host_step_cost)
+            if host.on_slice(self.sched.now) >= cfg.host_batch:
+                continue
             if not host.workers:
                 yield ("block", None)
             elif (until := host.quiet_until()) is not None:

@@ -275,6 +275,25 @@ def test_a_fresh_submission_queues_behind_parked_ones():
         ["getpid"] * 3 + ["close"]
 
 
+def test_a_full_host_batch_leaves_no_submission_for_the_next_period():
+    # 32 denied getpids fill one host batch and leave no worker; the close
+    # behind them is consumed by the next step, not after the host sleeps
+    sim = app_sim(policy=AdversaryPolicy(per_op={"getpid": ("deny",)}))
+
+    def body(rt, out):
+        for _ in range(sim.cfg.host_batch):
+            rt.submit_async(ringmod.OP_GETPID, SqeArgs(translate=False))
+        rt.submit_async(ringmod.OP_CLOSE, SqeArgs(fd=3, translate=False))
+        while True:
+            yield ("yield",)
+
+    spawn_app(sim, body)
+    sim.run_until(1_000_000)
+    consumed = [e[1] for e in sim.host.events if e[0] == "sqe"]
+    assert consumed == [sim.cfg.host_step_cost] * sim.cfg.host_batch + \
+        [2 * sim.cfg.host_step_cost]
+
+
 # --- pump: the batch drain runs the per-entry steps ---
 
 def test_pump_delivers_every_completion_through_peek_cqe_and_ring_peek(
