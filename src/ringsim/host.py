@@ -279,9 +279,9 @@ class HostOs:
         """After a slice that left workers pending: the first instant at
         which another slice could act (a worker due, the poller's idle
         deadline, the proxy kill), or None when any slice may act (each
-        scribbling slice draws from the rng; a pending wake is handled at
-        the next slice)."""
-        if self.policy.scribble_rate > 0 or self.pending_wake:
+        scribbling slice draws from the rng). A doorbell that comes first
+        wakes the host task itself (TrustedKernel.ring_enter)."""
+        if self.policy.scribble_rate > 0:
             return None
         until = self.workers[0][0]
         if self.poller_awake:
