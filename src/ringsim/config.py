@@ -25,6 +25,8 @@ EFAULT = 14
 ENOMEM = 12
 EEXIST = 17
 EINVAL = 22
+EFBIG = 27
+MAX_FILE_BYTES = 64 << 20  # s_maxbytes: a write ending past it is -EFBIG
 
 # Arena size classes: powers of two, 256 B .. 64 KiB. Larger requests get a
 # dedicated block keyed by exact rounded size.

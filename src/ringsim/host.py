@@ -45,8 +45,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import ring as ringmod
-from .config import (EBADF, EEXIST, EFAULT, EINVAL, EIO, ENOENT, ENOMEM,
-                     PAGE_SIZE, SimConfig)
+from .config import (EBADF, EEXIST, EFAULT, EFBIG, EINVAL, EIO, ENOENT,
+                     ENOMEM, MAX_FILE_BYTES, PAGE_SIZE, SimConfig)
 from .errors import BusFault, OutOfMemory, QuotaExceeded, RegistrationError
 from .records import HostEvents
 from .ring import WAKE_FMT, Cqe, Sqe
@@ -145,6 +145,8 @@ class VirtualFs:
         f = self.files[path]
         if f.pseudo:
             return len(data)  # swallowed, like a bit bucket
+        if off + len(data) > MAX_FILE_BYTES:
+            return -EFBIG
         if off > len(f.data):
             f.data.extend(b"\x00" * (off - len(f.data)))
         f.data[off:off + len(data)] = data

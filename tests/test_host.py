@@ -4,7 +4,8 @@ import hashlib
 import pytest
 
 from ringsim import ring as ringmod
-from ringsim.config import EBADF, EEXIST, EINVAL, ENOENT, INIT_SHM_ENV, SimConfig
+from ringsim.config import (EBADF, EEXIST, EFBIG, EINVAL, ENOENT, INIT_SHM_ENV,
+                            SimConfig)
 from ringsim.host import (AdversaryPolicy, HostOs, VirtualFs, _fill_bytes)
 from ringsim.promise import async_path_op, async_read, async_statx, async_write
 from ringsim.ring import CQE_SIZE, SQE_SIZE, Cqe, Ring, Sqe, ring_region_bytes
@@ -247,6 +248,24 @@ def test_fd_ops_after_unlink_are_errnos(op):
     _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
     sim.run_until(30_000_000)
     assert out == {"unlink": 0, "r": -EBADF}
+
+
+@pytest.mark.parametrize("off", [1 << 63, 200 << 20])
+def test_a_write_past_the_largest_file_is_efbig(off):
+    # an offset past the size limit fails like pwrite(2) past s_maxbytes;
+    # the host neither grows the file nor dies of it
+    sim = app_sim("/data/\n/data/f 4096 512 0\n")
+    before = bytes(sim.vfs.files["/data/f"].data)
+
+    def body(rt, out):
+        fd = yield from PosixShim(rt, timeout_ns=10_000_000).open("/data/f")
+        out["w"] = yield from sync_call(rt, async_write(rt, fd, b"x" * 64, off),
+                                        10_000_000)
+
+    _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"})
+    sim.run_until(30_000_000)
+    assert out == {"w": -EFBIG}
+    assert sim.vfs.files["/data/f"].data == before
 
 
 def test_fd_table_dense_from_three():
