@@ -34,6 +34,10 @@ of its ring (a denied SQE has none). A statx whose fd is AT_FDCWD reads its
 path from its buffer, as statx(2) does, and writes the record over it. Only
 the payload of a read or write pays the per-byte service cost.
 
+A CQ batch that leaves a full pump (min(max_events, cq_entries) entries) on
+its CQ raises completion_irq naming its enclave, for the kernel to wake it;
+an enclave with a shallower CQ reaps at its deadline or next release.
+
 Nothing here is trusted: the enclave-side modules never read host state
 except through the shared rings and granted windows.
 """
@@ -193,10 +197,8 @@ class AdversaryPolicy:
         """`honest|deny|corrupt|duplicate|delay:NS|flood:N`"""
         if ":" in text:
             kind, arg = text.split(":", 1)
-            if kind == "delay":
-                return ("delay", int(arg))
-            if kind == "flood":
-                return ("flood", int(arg))
+            if kind in ("delay", "flood"):
+                return (kind, int(arg))
             raise ValueError(f"unknown transform {text}")
         if text not in ("honest", "deny", "corrupt", "duplicate"):
             raise ValueError(f"unknown transform {text}")
@@ -222,6 +224,7 @@ class HostOs:
         # heap of (ready, seq, eid, consumed Sqe or flood's junk Cqe, corrupt)
         self.workers: list = []
         self._wseq = 0
+        self._last_ready: dict[str, int] = {}  # enclave -> its latest ready
         # a host that never forwards wakes leaves its poller parked from boot
         self.poller_awake = not policy.never_wake
         self.idle_deadline = cfg.poller_idle_timeout
@@ -243,6 +246,9 @@ class HostOs:
         """Wake interrupt from the trusted side; stays masked until the host
         is next scheduled (handled at the top of its slice)."""
         self.pending_wake = True
+
+    def completion_irq(self, eid: str) -> None:
+        """Interrupt: eid's CQ holds a full pump. TrustedKernel wires it."""
 
     # --- descriptor table ---
 
@@ -294,8 +300,7 @@ class HostOs:
 
     def _drain_wake_region(self) -> None:
         if self.wake_window is not None:
-            count, _ = self.wake_window.unpack(WAKE_FMT, 0)
-            self._wake_seen = count
+            self._wake_seen = self.wake_window.unpack(WAKE_FMT, 0)[0]
 
     def _deliver_due(self, now: int) -> int:
         """Run the workers due by now; their CQEs go out in one batch per CQ."""
@@ -312,8 +317,11 @@ class HostOs:
         return n
 
     def _end_cq_batches(self) -> None:
-        for cq in self._open_cqs.values():
+        for eid, cq in self._open_cqs.items():
+            occupancy = cq.producer_occupancy()
             cq.end_produce()
+            if occupancy >= min(self.cfg.max_events, cq.entries):
+                self.completion_irq(eid)
         self._open_cqs.clear()
 
     def _poll_rings(self, now: int) -> int:
@@ -340,8 +348,7 @@ class HostOs:
 
     def _kill_proxy(self, now: int) -> None:
         # descriptor table torn down; granted pages stay mapped
-        self.proxy_alive = False
-        self.poller_awake = False
+        self.proxy_alive = self.poller_awake = False
         self.fds.clear()
         self.workers.clear()
         self.events.kill_proxy(now)
@@ -358,6 +365,7 @@ class HostOs:
     def _schedule(self, ready: int, eid: str, item, corrupt: bool) -> None:
         heapq.heappush(self.workers, (ready, self._wseq, eid, item, corrupt))
         self._wseq += 1
+        self._last_ready[eid] = max(ready, self._last_ready.get(eid, ready))
 
     def _produce_cqe(self, eid: str, cqe: Cqe) -> bool:
         """Put cqe on eid's CQ, in its batch; a full CQ drops it, recorded as
@@ -396,7 +404,7 @@ class HostOs:
         if kind == "deny":
             self.events.deny(now, name, sqe.user_data)
             return
-        start = max([now] + [w[0] for w in self.workers if w[2] == eid]) \
+        start = max(now, self._last_ready.get(eid, now)) \
             if sqe.flags & ringmod.SQE_DRAIN else now
         ready = start + self._latency(sqe) + (arg if kind == "delay" else 0)
         corrupt = kind == "corrupt"
@@ -493,8 +501,7 @@ class HostOs:
 
     def _service_mmap(self, sqe: Sqe) -> int:
         """-> the proxy base of the registered grant, or -errno."""
-        size = sqe.len
-        region_id = sqe.off
+        size, region_id = sqe.len, sqe.off
         npages = max(1, (size + PAGE_SIZE - 1) // PAGE_SIZE)
         try:
             pages = self.authority.alloc_pages(npages, "proxy", NORMAL, "shm")
@@ -523,8 +530,7 @@ class HostOs:
                 self.authority.free_pages(pages, "proxy")
                 return -EINVAL
             # hostile host lies about success; trusted attach will refuse
-            base = self.proxy_space.fresh_base(size)
-            return base
+            return self.proxy_space.fresh_base(size)
         mapping = self.authority.map_region(self.proxy_space, region_id)
         win = self.proxy_space.access(mapping.base, mapping.size, "w")
         self.scribble_targets.append(win)

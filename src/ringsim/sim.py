@@ -29,8 +29,9 @@ class TrustedKernel:
     """Trusted-world mediator between enclaves, the authority, and the host.
 
     It validates every grant an enclave wants to attach, maps ring regions,
-    and forwards enter notifications to the host as a masked wake interrupt
-    plus a record in the shared wake queue page, and wakes the host task.
+    forwards enter notifications to the host (a masked wake interrupt, a
+    wake queue record and a wake of the host task) and turns the host's
+    completion interrupt into a wake of the enclave it names.
     """
 
     def __init__(self, authority: MemoryAuthority, sched: BudgetScheduler):
@@ -51,6 +52,7 @@ class TrustedKernel:
         self._wake_window = kspace.access(m.base, PAGE_SIZE, "w")
         hm = self.authority.map_private(host.proxy_space, pages, perms="r")
         host.wake_window = host.proxy_space.access(hm.base, PAGE_SIZE, "r")
+        host.completion_irq = self.completion_irq
 
     def ring_enter(self, caller: str) -> None:
         """Trusted syscall surface for "work is queued", rung by
@@ -63,6 +65,12 @@ class TrustedKernel:
         self._wake_window.pack(WAKE_FMT, 0, self._wake_count, ordinal)
         self.host.notify_enter()
         self._sched.wake(self.host.name)
+
+    def completion_irq(self, eid: str) -> None:
+        """The host's hint that eid's CQ holds a full pump: wake eid if this
+        kernel attached its rings (an enclave's), else nothing."""
+        if eid in self._regions_by_owner:
+            self._sched.wake(eid)
 
     def attach_shared(self, space, region_id: int, rsize: int) -> int:
         """Map a host-registered grant into an enclave space.
@@ -193,7 +201,8 @@ class Simulation:
         """One slice per step. After a slice that served a whole batch (an
         SQ may hold more) the next step follows; otherwise the host blocks
         until its next release or, with workers pending, until the next
-        slice could act (not while any slice may). A doorbell ends it."""
+        slice could act (not while any slice may). A doorbell ends it, and
+        a completion interrupt lets an outranking enclave preempt it."""
         host, cfg = self.host, self.cfg
         while True:
             yield ("compute", cfg.host_step_cost)
@@ -267,10 +276,10 @@ class Simulation:
         self.sched.advance(dt)
 
     def close(self) -> None:
-        """Free every live allocation, owner by owner, close each task body
-        and drop the pending correlation records, so that reference counting
-        frees the platform. Idempotent; emits no record and leaves every log,
-        counter and arena accounting as it was. Windows over freed pages fault."""
+        """Free every live allocation, owner by owner, close each task body,
+        drop the pending correlation records and unwire completion_irq, so
+        that reference counting frees the platform. Idempotent; emits no
+        record and keeps every log and account. Windows over freed pages fault."""
         a = self.authority
         for owner in dict.fromkeys(i.owner for i in a.table.entries.values()):
             a.free_pages([p for p, i in a.table.entries.items()
@@ -279,3 +288,4 @@ class Simulation:
             t.gen.close()
         for rt in self.runtimes.values():  # and so does a pending record
             rt.handle._table.clear()
+        vars(self.host).pop("completion_irq", None)  # it holds the kernel

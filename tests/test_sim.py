@@ -16,7 +16,7 @@ from ringsim.host import AdversaryPolicy
 from ringsim.promise import (FULFILLED, PENDING, PromisePool,
                              async_open, async_read, poll)
 from ringsim.ring import Cqe, Ring
-from ringsim.shim import sync_call
+from ringsim.shim import PosixShim, sync_call
 
 from helpers import app_sim, spawn_app
 from test_golden import _recorded_sims
@@ -292,6 +292,108 @@ def test_a_full_host_batch_leaves_no_submission_for_the_next_period():
     consumed = [e[1] for e in sim.host.events if e[0] == "sqe"]
     assert consumed == [sim.cfg.host_step_cost] * sim.cfg.host_batch + \
         [2 * sim.cfg.host_step_cost]
+
+
+# --- the completion interrupt: a CQ holding a full pump wakes its enclave ---
+
+def _reads_in_flight(depth, cfg=None, timeout_ns=None):
+    """An enclave that opens /data/f, then sends `depth` 4 KiB reads and
+    waits for them all. -> (the instant it sent them, the instant the last
+    one returned, the instant of the last read payload)"""
+    sim = app_sim("/data/\n/data/f 131072 4096 0\n", cfg=cfg)
+
+    def body(rt, out):
+        fd = yield from PosixShim(rt, timeout_ns=10_000_000).open("/data/f")
+        out["sent"] = rt.now()
+        reads = [async_read(rt, fd, 4096, 4096 * i) for i in range(depth)]
+        out["got"] = []
+        for p in reads:
+            out["got"].append((yield from sync_call(rt, p, timeout_ns)))
+        out["back"] = rt.now()
+        while True:
+            yield ("yield",)
+
+    _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "262144"})
+    sim.run_until(1_000_000)
+    data = bytes(sim.vfs.files["/data/f"].data)
+    assert out["got"] == [data[4096 * i:4096 * (i + 1)] for i in range(depth)]
+    landed = max(e[1] for e in sim.host.events if e[0] == "read_payload")
+    return out["sent"], out["back"], landed
+
+
+@pytest.mark.parametrize("cq_entries,depth", [(64, 16), (4, 4)])
+def test_a_cq_holding_a_full_pump_wakes_its_blocked_enclave(cq_entries, depth):
+    # min(max_events, cq_entries) completions waiting: the enclave resumes
+    # in the host slice that posts the last one, not at its next release
+    sent, back, landed = _reads_in_flight(depth,
+                                          SimConfig(cq_entries=cq_entries))
+    release = (sent // 100_000 + 1) * 100_000
+    assert back == landed < release
+
+
+@pytest.mark.parametrize("depth,timeout_ns", [(1, None), (1, 60_000),
+                                              (15, None)])
+def test_a_shallow_cq_leaves_its_enclave_blocked(depth, timeout_ns):
+    # fewer completions than a pump waiting: no interrupt, so the enclave
+    # reaps at its deadline or its next release, whichever comes first
+    sent, back, landed = _reads_in_flight(depth, timeout_ns=timeout_ns)
+    release = (sent // 100_000 + 1) * 100_000
+    deadline = release if timeout_ns is None else sent + timeout_ns
+    assert landed < back == min(release, deadline)
+
+
+def test_a_hostile_completion_interrupt_storm_costs_one_resume_per_slice(
+        monkeypatch):
+    # a host that raises the interrupt after every slice, naming the
+    # enclave, its own task and a name nobody has: the enclave resumes at
+    # most once per host slice besides its releases, the other enclave keeps
+    # its reservation, and the host task is never woken by it
+    sim = app_sim(MANIFEST)
+    slices, woken = [], []
+    real_slice, real_wake = sim.host.on_slice, sim.sched.wake
+
+    def hostile_slice(now):
+        served = real_slice(now)
+        slices.append(now)
+        for name in ("app", sim.host.name, "nobody"):
+            woken.clear()
+            sim.kernel.completion_irq(name)
+            assert woken == ([name] if name == "app" else [])
+        return served
+
+    def spy_wake(name):
+        woken.append(name)
+        real_wake(name)
+
+    monkeypatch.setattr(sim.host, "on_slice", hostile_slice)
+    monkeypatch.setattr(sim.sched, "wake", spy_wake)
+
+    def reader(rt, out):
+        fd = yield from PosixShim(rt, timeout_ns=10_000_000).open("/data/f")
+        out["got"] = []
+        for i in range(40):
+            out["got"].append((yield from sync_call(
+                rt, async_read(rt, fd, 64, 64 * i), 1_000_000)))
+
+    def spinner(rt, out):
+        while True:
+            yield ("compute", 1_000)
+
+    _, out = spawn_app(sim, reader, env={INIT_SHM_ENV: "65536"},
+                       budget=20_000)
+    spawn_app(sim, spinner, name="spin", budget=20_000, priority=3)
+    windows = []
+    sim.sched.on_replenish = lambda now, t: \
+        t.name == "spin" and windows.append(t.window_executed)
+    sim.run_until(5_000_000)
+    data = bytes(sim.vfs.files["/data/f"].data)
+    assert out["got"] == [data[64 * i:64 * (i + 1)] for i in range(40)]
+    app = [(t, ev) for t, task, ev in sim.sched.trace if task == "app"]
+    resumes = sum(ev == "dispatch" for _, ev in app)
+    releases = sum(ev == "replenish" for _, ev in app)
+    storm = sum(t <= app[-1][0] for t in slices)  # slices up to app's exit
+    assert app[-1][1] == "exit" and resumes <= storm + releases + 1
+    assert len(windows) == 49 and set(windows) == {20_000}
 
 
 # --- pump: the batch drain runs the per-entry steps ---
