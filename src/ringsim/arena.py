@@ -3,11 +3,13 @@
 An arena is one buffer lent to one operation. All allocator metadata
 (capacities, free bins) is private to the enclave side; only payload bytes
 live in shared memory, so no host write can corrupt an offset or a free list.
-Freed arenas go back to size-class bins and are handed out LIFO. The
-requesters are the staged calls' operation records themselves: when nothing
-fits, an op parks in the pool's queue, and the pool requests one new shared
-block at a time; the grant that lands hands the parked ops their arenas in
-order, and one the trusted side refuses fails them.
+Every block that lands, the launch grant or a refill, becomes a spare tail,
+and each op is carved from it on demand at its own size class. Freed arenas
+go back to size-class bins and are handed out LIFO before any tail is cut.
+The requesters are the staged calls' operation records themselves: when
+nothing fits, an op parks in the pool's queue, and the pool requests one new
+shared block at a time; the grant that lands hands the parked ops their
+arenas in order, and one the trusted side refuses fails them.
 """
 from __future__ import annotations
 
@@ -29,19 +31,6 @@ def size_class(n: int) -> int:
             if c >= n:
                 return c
     return ((n + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
-
-
-def _greedy_classes(length: int) -> list[int]:
-    # split a multiple of the smallest class into class-sized chunks, largest
-    # first; never leaves a remainder because every class divides PAGE_SIZE*k
-    out = []
-    while length >= SIZE_CLASSES[0]:
-        for c in reversed(SIZE_CLASSES):
-            if c <= length:
-                out.append(c)
-                length -= c
-                break
-    return out
 
 
 @dataclass
@@ -86,11 +75,13 @@ class Arena:
 
 
 class ArenaPool:
-    """Size-class bins over shared blocks, refilled one grant at a time."""
+    """Size-class bins and spare tails over shared blocks, one grant at a
+    time."""
 
     def __init__(self, handle):
         self._handle = handle
         self._bins: dict[int, list[_FreeChunk]] = {}
+        self._tails: list[_FreeChunk] = []  # uncarved rest of each block
         self._waiters: deque = deque()  # (class_bytes, op), in parking order
         self._refill_inflight = False
         self._next_arena_id = 1
@@ -105,10 +96,10 @@ class ArenaPool:
         """Give `op` (a staged call's record) an Arena with capacity >= size,
         as op.arena; -> op.
 
-        A binned chunk that fits serves it at once, and the op's staging step
-        is queued for the next drain. Otherwise the op parks until a refill
-        grant lands, or fails with PoolExhausted if the grant is refused;
-        host silence leaves it parked.
+        A binned chunk or a spare tail that fits serves it at once, and the
+        op's staging step is queued for the next drain. Otherwise the op
+        parks until a grant lands, or fails with PoolExhausted if the grant
+        is refused; host silence leaves it parked.
         """
         cls = size_class(size)
         chunk = self._take_chunk(cls)
@@ -134,18 +125,16 @@ class ArenaPool:
             _FreeChunk(arena.block, arena.block_offset, arena.capacity))
 
     def prefill(self, env: dict) -> None:
-        """Issue the launch-time grant request named in the enclave env and
-        split the block into the static class census when it lands."""
-        raw = env.get(INIT_SHM_ENV)
-        if not raw:
-            return
-        total = int(raw)
-        if total <= 0:
-            return
-        self._handle.enclave_mmap(total, self._split_prefill)
+        """Issue the launch-time grant request named in the enclave env as
+        the first refill: ops that park before it lands wait for it."""
+        total = int(env.get(INIT_SHM_ENV) or 0)
+        if total > 0:
+            self._refill_inflight = True
+            self._handle.enclave_mmap(total, self._on_refill)
 
     def accounting(self) -> tuple[int, int, int]:
-        """(received, in_bins, live) byte totals; received == in_bins + live."""
+        """(received, in_bins, live) byte totals; received == in_bins + live.
+        Uncarved tail bytes count as in_bins."""
         return (self.total_received, self.total_in_bins, self.total_live)
 
     @property
@@ -163,15 +152,21 @@ class ArenaPool:
         return a
 
     def _take_chunk(self, cls: int) -> _FreeChunk | None:
-        if cls > _MAX_CLASS:  # dedicated blocks match exactly
-            stack = self._bins.get(cls)
-            return stack.pop() if stack else None
-        for c in SIZE_CLASSES:
-            if c < cls:
-                continue
+        """A binned chunk of class `cls` or larger (oversized classes match
+        exactly), else `cls` bytes carved from the first tail that fits."""
+        classes = SIZE_CLASSES if cls <= _MAX_CLASS else (cls,)
+        for c in classes:
             stack = self._bins.get(c)
-            if stack:
+            if c >= cls and stack:
                 return stack.pop()
+        for i, tail in enumerate(self._tails):
+            if tail.capacity >= cls:
+                chunk = _FreeChunk(tail.block, tail.offset, cls)
+                tail.offset += cls
+                tail.capacity -= cls
+                if not tail.capacity:
+                    del self._tails[i]
+                return chunk
         return None
 
     def _maybe_refill(self) -> None:
@@ -182,6 +177,8 @@ class ArenaPool:
                                   self._on_refill)
 
     def _on_refill(self, block, refusal) -> None:
+        """Land a grant, the launch grant or a refill, as a spare tail and
+        serve the parked ops from it in order; a refusal fails them."""
         self._refill_inflight = False
         if refusal is not None:
             while self._waiters:
@@ -190,30 +187,8 @@ class ArenaPool:
             return
         size = block.entry.size
         self.total_received += size
-        offset = 0
-        while self._waiters:
-            cls, op = self._waiters[0]
-            if offset + cls > size:
-                break
-            self._waiters.popleft()
-            self.total_in_bins += cls  # flows straight to live via _make_arena
-            op.arena = self._make_arena(_FreeChunk(block, offset, cls))
-            offset += cls
-            self._handle.pool.resume(op)
-        self._bin_chunks(block, offset, _greedy_classes(size - offset))
-        self._maybe_refill()
-
-    def _split_prefill(self, block, refusal) -> None:
-        if refusal is not None:  # parked ops wait on their own refill
-            return
-        size = block.entry.size
-        self.total_received += size
-        n16 = (3 * size // 4) // 16384
-        n4 = (size - n16 * 16384) // 4096
-        tail = size - n16 * 16384 - n4 * 4096
-        self._bin_chunks(block, 0,
-                         [16384] * n16 + [4096] * n4 + _greedy_classes(tail))
-        # a parked op may now be servable
+        self.total_in_bins += size
+        self._tails.append(_FreeChunk(block, 0, size))
         while self._waiters:
             chunk = self._take_chunk(self._waiters[0][0])
             if chunk is None:
@@ -221,13 +196,4 @@ class ArenaPool:
             op = self._waiters.popleft()[1]
             op.arena = self._make_arena(chunk)
             self._handle.pool.resume(op)
-
-    def _bin_chunks(self, block, offset: int, classes: list[int]) -> None:
-        """Bin consecutive chunks of `block` from `offset`, one per class."""
-        for cls in classes:
-            self._bins.setdefault(cls, []).append(_FreeChunk(block, offset, cls))
-            self.total_in_bins += cls
-            offset += cls
-
-    def bin_census(self) -> dict[int, int]:
-        return {k: len(v) for k, v in sorted(self._bins.items()) if v}
+        self._maybe_refill()

@@ -93,9 +93,9 @@ class RingHandle:
         # the correlation table maps each in-flight internal id to its bare
         # caller tag, as io_uring's user_data names a request. The promise
         # pool's cap also caps it. A record belongs to a pending call, to an
-        # abandoned staged call until its completion lands, or to one of the
-        # arena pool's grants, which hold no promise (at most two: the
-        # launch grant and one refill)
+        # abandoned staged call until its completion lands, or to the arena
+        # pool's one grant in flight (the launch grant is its first refill),
+        # which holds no promise
         self._table_cap = cfg.max_outstanding_promises
         self._table: dict[int, object] = {}
         self._next_internal = 1  # strictly monotonic, never reused

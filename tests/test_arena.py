@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ringsim.arena import ArenaPool, _greedy_classes, size_class
+from ringsim.arena import ArenaPool, size_class
 from ringsim.config import INIT_SHM_ENV, PAGE_SIZE, SIZE_CLASSES
 from ringsim.errors import ArenaFull, DoubleFree, PoolExhausted, UseAfterFree
 from ringsim.promise import FAILED, PENDING, Promise, PromisePool
@@ -55,15 +55,6 @@ def test_size_class_mapping():
         size_class(0)
     with pytest.raises(ValueError):
         size_class(-4)
-
-
-def test_greedy_split_conserves():
-    rng = random.Random(11)
-    for _ in range(200):
-        length = 256 * rng.randrange(1, 600)
-        chunks = _greedy_classes(length)
-        assert sum(chunks) == length
-        assert all(c in SIZE_CLASSES for c in chunks)
 
 
 def test_write_read_and_addr():
@@ -165,10 +156,12 @@ def test_prefill_census():
     pool.prefill({INIT_SHM_ENV: "65536"})
     assert fh.requests[0][0] == 65536
     fh.grant()
-    assert pool.bin_census() == {4096: 4, 16384: 3}
-    assert pool.accounting() == (65536, 65536, 0)
-    p = _request(pool, fh, 1000)          # served from the 4096 bin
-    assert p.arena.capacity == 4096
+    assert pool.accounting() == (65536, 65536, 0)  # one spare tail, unbinned
+    small = [c for c in SIZE_CLASSES if c <= 32768]  # 65280 bytes in all
+    for cls in small:                     # each served at its own class
+        assert _request(pool, fh, cls).arena.capacity == cls
+    assert fh.requests == []
+    assert pool.accounting() == (65536, 65536 - sum(small), sum(small))
 
 
 def test_prefill_env_absent_or_zero():
@@ -184,10 +177,32 @@ def test_prefill_grant_serves_parked_demand():
     pool.prefill({INIT_SHM_ENV: "65536"})
     assert len(fh.requests) == 2
     fh.grant(1)                           # prefill lands before the refill
-    assert p.arena.capacity == 4096 and p.staged == 1
-    fh.grant(0)                           # late refill goes entirely to bins
+    assert p.arena.capacity == 1024 and p.staged == 1
+    fh.grant(0)                           # late refill stays a spare tail
     rec, bins, live = pool.accounting()
     assert rec == 65536 + 4096 and rec == bins + live
+
+
+def test_launch_grant_serves_parked_64k_reads_with_no_second_grant():
+    pool, fh = _pool()
+    pool.prefill({INIT_SHM_ENV: str(1 << 20)})
+    ops = [_request(pool, fh, 65536) for _ in range(16)]
+    assert pool.waiting == 16 and len(fh.requests) == 1  # all wait for it
+    fh.grant()
+    assert all(op.arena.capacity == 65536 and op.staged == 1 for op in ops)
+    assert fh.requests == [] and pool.waiting == 0
+    assert pool.accounting() == (1 << 20, 0, 1 << 20)
+
+
+def test_64k_launch_grant_serves_256_small_requests_before_any_refill():
+    pool, fh = _pool(cap=300)
+    pool.prefill({INIT_SHM_ENV: "65536"})
+    fh.grant()
+    ops = [_request(pool, fh, 256) for _ in range(256)]
+    assert all(op.arena is not None and op.arena.capacity == 256
+               for op in ops)
+    assert fh.requests == []
+    assert pool.accounting() == (65536, 0, 65536)
 
 
 def test_conservation_under_random_traffic():

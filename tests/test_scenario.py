@@ -85,13 +85,15 @@ def test_golden_scenarios():
 
 
 def test_game2_detection_oracle_counts_what_the_enclave_received():
-    # row 245 scribbles: the host wrote the payload cleanly, a scribble
+    # row 295 scribbles: the host wrote the payload cleanly, a scribble
     # corrupted it in the arena, and the victim refused it. By the host's
     # own account nothing was tampered with, yet the detection is right, so
     # the oracle counts the payloads the enclave received. (Row 75 of seed
-    # 8,000,003 had such a detection while waits burned their budget.)
-    texts = generate_game2(8_000_005, 300)
-    row, sim_h, _ = scenario._run_game2(texts[245])
+    # 8,000,003 had such a detection while waits burned their budget, and
+    # row 245 of seed 8,000,005 while the launch grant left a refill
+    # pending.)
+    texts = generate_game2(19, 300)
+    row, sim_h, _ = scenario._run_game2(texts[295])
     assert row["ok"] and row["ok_detect"], row
     assert sim_h.runtimes["victim"].detections >= 1
     assert not any(e[0] == "read_payload" and not e[5]
