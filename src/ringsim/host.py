@@ -100,6 +100,9 @@ class VirtualFs:
             if len(parts) != 4:
                 raise ValueError(f"manifest line {lineno}: want `path size block pseudo`")
             size, block, pseudo = int(parts[1]), int(parts[2]), int(parts[3])
+            if size < 0 or not 0 < block < 1 << 32 or pseudo not in (0, 1):
+                raise ValueError(f"manifest line {lineno}: want size >= 0, "
+                                 "block in 1..2**32-1 and pseudo 0 or 1")
             fs._ensure_parents(path)
             fs.files[path] = VFile(_fill_bytes(path, size), block, bool(pseudo))
         return fs

@@ -35,6 +35,25 @@ def test_manifest_builds_tree():
         VirtualFs.from_manifest("/bad 12\n")
 
 
+@pytest.mark.parametrize("entry", [
+    "/data/f 64 -1 0",                     # block size below 1
+    "/data/f 64 0 0",
+    "/data/f 64 4294967296 0",             # block size past 2**32 - 1
+    "/data/f -5 64 0",                     # negative size
+    "/data/f 64 64 2",                     # pseudo flag not 0 or 1
+    "/data/f 64 64 -1",
+])
+def test_manifest_rejects_out_of_range_fields(entry):
+    with pytest.raises(ValueError, match="manifest line 2"):
+        VirtualFs.from_manifest(f"/data/\n{entry}\n")
+
+
+def test_manifest_accepts_the_field_range_ends():
+    fs = VirtualFs.from_manifest("/e 0 4294967295 1\n/f 1 1 0\n")
+    assert len(fs.files["/e"].data) == 0 and fs.files["/e"].pseudo
+    assert fs.files["/f"].block_size == 1 and not fs.files["/f"].pseudo
+
+
 def test_seeded_content_is_deterministic():
     a = VirtualFs.from_manifest(MANIFEST)
     b = VirtualFs.from_manifest(MANIFEST)
