@@ -98,9 +98,13 @@ def _policy_from(adv: dict) -> AdversaryPolicy:
         elif key == "scribble_rate":
             pol.scribble_rate = float(value)
         elif key == "bad_register":
+            if value not in ("dup", "overlap", "size"):
+                raise ValueError(f"[adversary] bad_register: no attack {value!r}")
             pol.bad_register = value
-        else:
+        elif key in ringmod.OP_NAMES.values():
             pol.per_op[key] = AdversaryPolicy.parse_transform(value)
+        else:
+            raise ValueError(f"[adversary] {key}: no such key or opcode")
     return pol
 
 

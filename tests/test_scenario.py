@@ -44,6 +44,25 @@ def test_parse_rejects_malformed():
         parse_scenario("[game]\nnot-a-pair\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("bad_register", "dupp"),              # no such registration attack
+    ("bad_register", ""),
+    ("raed", "deny"),                      # names no opcode
+])
+def test_adversary_section_rejects_unknown_names(key, value):
+    with pytest.raises(ValueError, match=key):
+        scenario._policy_from({"default": "honest", key: value})
+
+
+def test_adversary_section_takes_every_opcode_and_attack():
+    for op in ("open", "read", "write", "close", "statx", "unlink", "mkdir",
+               "getpid", "enclave_mmap"):
+        assert scenario._policy_from({op: "deny"}).per_op == {op: ("deny",)}
+    for attack in ("dup", "overlap", "size"):
+        assert scenario._policy_from(
+            {"bad_register": attack}).bad_register == attack
+
+
 EXPECT_TX = {
     "honest": "message",
     "deny-read": "fallback",
