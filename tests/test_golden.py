@@ -193,11 +193,12 @@ def test_fleet_honest_shared_access_count():
     # 24,904 while poll_wait reloaded the CQ tail (960 loads) that the pump
     # of the same instant had just read, 23,944 (801 iterations) while
     # open waited for its statx in a second round trip, and 24,137 (807
-    # iterations) while a wait burned its budget tick by tick.
+    # iterations) while a wait burned its budget tick by tick, and 22,146
+    # while each enclave's launch grant left a second grant beside it.
     sim, outs = _fleet_sim("honest", monitored=True)
     assert sum(isinstance(r[0], int) for out in outs.values()
                for r in out) == 833
-    assert sim.authority.monitor.access_count == 22_146
+    assert sim.authority.monitor.access_count == 22_143
 
 
 # --- a bulk stream: every read payload spans many shared pages ---
