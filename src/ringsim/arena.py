@@ -156,9 +156,8 @@ class ArenaPool:
         exactly), else `cls` bytes carved from the first tail that fits."""
         classes = SIZE_CLASSES if cls <= _MAX_CLASS else (cls,)
         for c in classes:
-            stack = self._bins.get(c)
-            if c >= cls and stack:
-                return stack.pop()
+            if c >= cls and self._bins.get(c):
+                return self._bins[c].pop()
         for i, tail in enumerate(self._tails):
             if tail.capacity >= cls:
                 chunk = _FreeChunk(tail.block, tail.offset, cls)
