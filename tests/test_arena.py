@@ -91,6 +91,11 @@ def test_bins_are_lifo_and_cross_class():
     pool.free_arena(b)
     c = _get(pool, fh, 100)               # smaller request, larger bin is fine
     assert c.capacity == 256 and (c.block, c.block_offset) == ident
+    big = _get(pool, fh, 300)             # cls 512, cut from the spare tail
+    pool.free_arena(big)
+    d = _get(pool, fh, 100)               # no 256 chunk: the 512 one, not
+    assert d.capacity == 512              # a cut from the tail
+    assert (d.block, d.block_offset) == (big.block, big.block_offset)
 
 
 def test_cold_pool_parks_until_grant():
