@@ -36,7 +36,8 @@ the payload of a read or write pays the per-byte service cost.
 
 A CQ batch that leaves a full pump (min(max_events, cq_entries) entries) on
 its CQ raises completion_irq naming its enclave, for the kernel to wake it;
-an enclave with a shallower CQ reaps at its deadline or next release.
+an enclave with a shallower CQ reaps at its deadline or at the next release
+of any task on the platform (the host's own, at the latest).
 
 Nothing here is trusted: the enclave-side modules never read host state
 except through the shared rings and granted windows.

@@ -5,10 +5,11 @@ Tasks are generator bodies that yield scheduling commands:
     ("compute", ns)  consume ns of budget/CPU (side effects in body code run
                      at the simulated instant the generator is resumed)
     ("block", until) leave the eligible set and spend no budget until the
-                     first of `until` (never, for None), the task's next
-                     release, or wake(name); the budget left is kept, as a
-                     deferrable server keeps it. A block whose `until` has
-                     passed resumes the body at once.
+                     first of `until` (never, for None), the next release
+                     of any live task, or wake(name); the budget left is
+                     kept, as a deferrable server keeps it, and refills
+                     only at the task's own release. A block whose `until`
+                     has passed resumes the body at once.
     ("yield",)       forfeit the rest of this period's budget
 
 A body is sent `now` at every resume after its first. A woken task that
@@ -59,6 +60,7 @@ class TaskControl:
     started: bool = False
     cmd_left: int | None = None
     wake_at: int | None = None   # end of the block in progress, if any
+    until: int | None = None     # `until` of the block in progress
     executed_total: int = 0
     window_executed: int = 0
     gen: Iterator | None = None
@@ -84,6 +86,7 @@ class BudgetScheduler:
         self.util = Fraction(0)
         # min over live tasks of next_replenish, or wake_at while blocked
         self._boundary: int | None = None
+        self._next_release: int | None = None  # min next_replenish, live tasks
         self.resumes = 0  # body resumes so far; the count names the current one
 
     # --- admission ---
@@ -120,16 +123,22 @@ class BudgetScheduler:
     # --- core loop ---
 
     def _refresh_boundary(self) -> None:
-        self._boundary = min((t.next_replenish if t.wake_at is None
-                              else t.wake_at for t in self._order),
-                             default=None)
+        """After an admission or an exit: re-derive the next release, the
+        end of every block in progress and the boundary."""
+        nr = self._boundary = self._next_release = min(
+            (t.next_replenish for t in self._order), default=None)
+        for t in self._order:  # an exit can take away the release awaited
+            if t.wake_at is not None:
+                t.wake_at = nr if t.until is None or t.until > nr else t.until
+                if t.wake_at < self._boundary:
+                    self._boundary = t.wake_at
 
     def _do_replenish(self, record) -> None:
         """Replenish the due tasks and end the due blocks; run_until calls
         it at the boundary. `record` is the trace's record method, or None
         when tracing is off."""
         now = self.now
-        boundary = None
+        boundary = release = None
         for t in self._order:
             if t.next_replenish <= now:
                 if self.on_replenish is not None:
@@ -145,10 +154,13 @@ class BudgetScheduler:
             elif t.wake_at is not None and t.wake_at <= now:
                 t.yielded = False
                 t.wake_at = None
+            if release is None or t.next_replenish < release:
+                release = t.next_replenish
             nxt = t.next_replenish if t.wake_at is None else t.wake_at
             if boundary is None or nxt < boundary:
                 boundary = nxt
         self._boundary = boundary
+        self._next_release = release
 
     def wake(self, name: str) -> None:
         """End the block of task `name`, if it is blocked (an interrupt)."""
@@ -197,7 +209,8 @@ class BudgetScheduler:
                 until = cmd[1]
                 if until is not None and until <= self.now:
                     continue  # due already: resume at once
-                nxt = t.next_replenish
+                nxt = self._next_release
+                t.until = until
                 t.wake_at = wake = nxt if until is None or until > nxt else until
                 if wake < self._boundary:
                     self._boundary = wake

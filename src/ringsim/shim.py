@@ -4,7 +4,7 @@ Task bodies are generators, so every blocking call here is also a generator
 and is entered with `yield from`. A synchronous wait polls through
 `EnclaveRuntime.poll_wait`: one busy poll tick while a pump could change
 something, else a scheduler block that spends no budget until the deadline
-or alarm, the task's next release or a wake. Every timeout, a `PosixShim`
+or alarm, the next release of any task or a wake. Every timeout, a `PosixShim`
 staging drain's included, counts simulated time from the call's start, so
 a call gives up within its timeout plus one period whatever its budget. The
 layer converts the three ways a wait can end into errno conventions:

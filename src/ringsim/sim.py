@@ -144,8 +144,8 @@ class EnclaveRuntime:
         While another pump() could change something (a deferred
         continuation, a parked entry that could go out, a completion
         backlog), this is one busy-poll tick. Otherwise the task blocks,
-        spending no budget, until `until`, its next release or a wake, while
-        lower-priority tasks (the host) run. The backlog, and whether parked
+        spending no budget, until `until`, the next release of any task or
+        a wake, while lower-priority tasks (the host) run. The backlog, and whether parked
         entries are stuck, are what a pump in this same resume of the body
         left: with no yield since, the host has not run, so only a retire
         can make room.
@@ -200,9 +200,10 @@ class Simulation:
     def _host_body(self):
         """One slice per step. After a slice that served a whole batch (an
         SQ may hold more) the next step follows; otherwise the host blocks
-        until its next release or, with workers pending, until the next
-        slice could act (not while any slice may). A doorbell ends it, and
-        a completion interrupt lets an outranking enclave preempt it."""
+        until the next release of any task or, with workers pending, until
+        the next slice could act if that comes first (not while any slice
+        may). A doorbell ends it, and a completion interrupt lets an
+        outranking enclave preempt it."""
         host, cfg = self.host, self.cfg
         while True:
             yield ("compute", cfg.host_step_cost)

@@ -196,8 +196,8 @@ class RefSched:
     commands; running off the end exits the task.
 
     A ("block", until) takes the task off the eligible set until a tick
-    starts at or after `until`, its next release, or wake(name); one whose
-    `until` has passed resumes at once. A ("wake", name) entry calls
+    starts at or after `until`, a tick at which any live task is released,
+    or wake(name); one whose `until` has passed resumes at once. A ("wake", name) entry calls
     wake(name) and takes up the next command. After each resume the task is
     picked again, so a task woken by the running one preempts it before its
     next tick. `starts` records (now, task, script index) as each command is
@@ -215,6 +215,7 @@ class RefSched:
         self.starts: list[tuple[int, str, int]] = []
         self.blocks: list[tuple[int, str, int, int]] = []
         self.woken = 0            # blocks ended by wake()
+        self.released = 0         # blocks ended by another task's release
         self._running: RefTask | None = None
 
     def admit(self, name, kind, period, budget, script, priority=0):
@@ -231,8 +232,10 @@ class RefSched:
                 self.woken += 1
 
     def _replenish(self):
+        any_release = False
         for t in self.tasks:
             if t.alive and t.next_replenish <= self.now:
+                any_release = True
                 t.remaining = t.budget
                 t.yielded = t.blocked = False
                 t.window_executed = 0
@@ -241,6 +244,10 @@ class RefSched:
                 self.trace.append((self.now, t.name, "replenish"))
             if t.blocked and t.until is not None and t.until <= self.now:
                 t.blocked = False
+        for t in self.tasks:
+            if any_release and t.blocked:
+                t.blocked = False
+                self.released += 1
 
     def _pick(self):
         best, best_key = None, None

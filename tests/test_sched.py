@@ -153,12 +153,13 @@ def _random_block_taskset(rng, n, horizon):
 
 
 def test_wait_matches_tick_by_tick_reference():
-    # blocks end at `until`, at the next release, or at a wake from a task
-    # body or from outside between run_until calls; priorities drawn from
+    # blocks end at `until`, at the next release of any live task, or at a
+    # wake from a task body or from outside between run_until calls; priorities drawn from
     # two values tie often under FP, finite scripts exit mid-run, and the
     # last task is admitted at the first cut
     rng = random.Random(5151)
-    blocks_ended = woken = exits = late_dispatches = preempted = 0
+    blocks_ended = woken = released = exits = late_dispatches = 0
+    preempted = 0
     for trial in range(120):
         policy = FP if trial % 2 == 0 else EDF
         horizon = rng.randrange(50, 300)
@@ -198,11 +199,13 @@ def test_wait_matches_tick_by_tick_reference():
         assert blocks == ref.blocks, what
         blocks_ended += len(blocks)
         woken += ref.woken
+        released += ref.released
         exits += sum(ev == "exit" for _, _, ev in real.trace)
         late_dispatches += (late_name, "dispatch") in \
             {(name, ev) for _, name, ev in real.trace}
         preempted += sum(ev == "preempt" for _, _, ev in real.trace)
     assert blocks_ended > 200 and woken > 30 and exits > 100
+    assert released > 0  # some blocks end at another task's release
     assert late_dispatches > 30 and preempted > 20
 
 
@@ -242,6 +245,36 @@ def test_block_ends_at_until_release_or_wake():
                               (11, 12, "w"), (12, 13, "k")]
     assert s.timeline[5:] == [(40, 41, "w"), (41, 47, "k"), (47, 48, "w"),
                               (48, 52, "k")]
+
+
+def _block_end(admit_late=False, fast_exits=False):
+    """A 500-period task blocks with no `until` at 10 beside a 100-period
+    task; -> the instant its block ends. The fast task exits at 25 if
+    `fast_exits`; with `admit_late`, it is admitted only at 20."""
+    s = BudgetScheduler(FP)
+    got = []
+
+    def slow():
+        yield ("compute", 10)
+        got.append((yield ("block", None)))
+        yield ("compute", 1)
+
+    fast = script_gen([("compute", 15)] if fast_exits
+                      else [("compute", 10 ** 9)])
+    s.admit("slow", ENCLAVE, 500, 50, slow(), priority=2)
+    if admit_late:
+        s.run_until(20)
+    s.admit("fast", ENCLAVE, 100, 20, fast, priority=1)
+    s.run_until(1_000)
+    return got[0]
+
+
+def test_a_block_ends_at_the_next_release_of_any_task():
+    assert _block_end() == 100
+    # an exit takes away the release the block waited for
+    assert _block_end(fast_exits=True) == 500
+    # a task admitted at 20 is released at 120, before the block's 500
+    assert _block_end(admit_late=True) == 120
 
 
 def test_trace_replay_determinism():

@@ -342,6 +342,27 @@ def test_a_shallow_cq_leaves_its_enclave_blocked(depth, timeout_ns):
     assert landed < back == min(release, deadline)
 
 
+def test_a_slow_enclave_reaps_at_the_hosts_first_release_after_the_read():
+    # a 500 us enclave beside the 100 us host: its block ends at the next
+    # release of any task, so a read returns at the host's first release
+    # after it completed, not at the enclave's own next release
+    sim = app_sim(MANIFEST)
+
+    def body(rt, out):
+        fd = yield from PosixShim(rt, timeout_ns=10_000_000).open("/data/f")
+        out["sent"] = rt.now()
+        out["got"] = yield from sync_call(rt, async_read(rt, fd, 64))
+        out["back"] = rt.now()
+
+    _, out = spawn_app(sim, body, env={INIT_SHM_ENV: "65536"},
+                       period=500_000)
+    sim.run_until(2_000_000)
+    assert out["got"] == bytes(sim.vfs.files["/data/f"].data[:64])
+    landed = max(e[1] for e in sim.host.events if e[0] == "read_payload")
+    assert out["back"] == (landed // 100_000 + 1) * 100_000
+    assert out["back"] < (out["sent"] // 500_000 + 1) * 500_000
+
+
 def test_a_hostile_completion_interrupt_storm_costs_one_resume_per_slice(
         monkeypatch):
     # a host that raises the interrupt after every slice, naming the
