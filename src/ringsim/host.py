@@ -198,11 +198,13 @@ class AdversaryPolicy:
 
     @staticmethod
     def parse_transform(text: str) -> tuple:
-        """`honest|deny|corrupt|duplicate|delay:NS|flood:N`"""
+        """`honest|deny|corrupt|duplicate|delay:NS|flood:N`, NS and N >= 0"""
         if ":" in text:
             kind, arg = text.split(":", 1)
             if kind in ("delay", "flood"):
-                return (kind, int(arg))
+                if (n := int(arg)) < 0:
+                    raise ValueError(f"transform {text}: {kind} wants >= 0")
+                return (kind, n)
             raise ValueError(f"unknown transform {text}")
         if text not in ("honest", "deny", "corrupt", "duplicate"):
             raise ValueError(f"unknown transform {text}")

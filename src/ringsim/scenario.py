@@ -87,24 +87,29 @@ def render_scenario(name: str, seed: int, kind: str, vfs: str, game: dict,
 
 
 def _policy_from(adv: dict) -> AdversaryPolicy:
+    """The [adversary] section as a policy; a bad entry raises ValueError
+    under its key's name."""
     pol = AdversaryPolicy()
     for key, value in adv.items():
-        if key == "default":
-            pol.default = AdversaryPolicy.parse_transform(value)
-        elif key == "never_wake":
-            pol.never_wake = bool(int(value))
-        elif key == "kill_proxy_at":
-            pol.kill_proxy_at = int(value)
-        elif key == "scribble_rate":
-            pol.scribble_rate = float(value)
-        elif key == "bad_register":
-            if value not in ("dup", "overlap", "size"):
-                raise ValueError(f"[adversary] bad_register: no attack {value!r}")
-            pol.bad_register = value
-        elif key in ringmod.OP_NAMES.values():
-            pol.per_op[key] = AdversaryPolicy.parse_transform(value)
-        else:
-            raise ValueError(f"[adversary] {key}: no such key or opcode")
+        try:
+            if key == "default":
+                pol.default = AdversaryPolicy.parse_transform(value)
+            elif key == "never_wake":
+                pol.never_wake = bool(int(value))
+            elif key == "kill_proxy_at":
+                pol.kill_proxy_at = int(value)
+            elif key == "scribble_rate":
+                pol.scribble_rate = float(value)
+            elif key == "bad_register":
+                if value not in ("dup", "overlap", "size"):
+                    raise ValueError(f"no attack {value!r}")
+                pol.bad_register = value
+            elif key in ringmod.OP_NAMES.values():
+                pol.per_op[key] = AdversaryPolicy.parse_transform(value)
+            else:
+                raise ValueError("no such key or opcode")
+        except ValueError as e:
+            raise ValueError(f"[adversary] {key}: {e}") from None
     return pol
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from ringsim import cli, scenario
 from ringsim.config import SimConfig, step_bounds
+from ringsim.host import AdversaryPolicy
 from ringsim.scenario import (generate_game1, generate_game2, parse_scenario,
                               render_scenario, report_lines, run_bench,
                               run_fuzz, run_game1, run_game1_traced, run_game2,
@@ -51,6 +52,18 @@ def test_parse_rejects_malformed():
 ])
 def test_adversary_section_rejects_unknown_names(key, value):
     with pytest.raises(ValueError, match=key):
+        scenario._policy_from({"default": "honest", key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("default", "delay:-50000000"),
+    ("read", "flood:-3"),
+])
+def test_adversary_section_rejects_negative_transform_arguments(key, value):
+    with pytest.raises(ValueError, match=f"transform {value}"):
+        AdversaryPolicy.parse_transform(value)
+    # the section names the key as well as the transform
+    with pytest.raises(ValueError, match=rf"\] {key}: transform {value}"):
         scenario._policy_from({"default": "honest", key: value})
 
 
