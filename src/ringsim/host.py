@@ -100,7 +100,11 @@ class VirtualFs:
                 continue
             if len(parts) != 4:
                 raise ValueError(f"manifest line {lineno}: want `path size block pseudo`")
-            size, block, pseudo = int(parts[1]), int(parts[2]), int(parts[3])
+            try:
+                size, block, pseudo = (int(p) for p in parts[1:])
+            except ValueError:
+                raise ValueError(f"manifest line {lineno}: size, block and "
+                                 "pseudo must be integers") from None
             if size < 0 or not 0 < block < 1 << 32 or pseudo not in (0, 1):
                 raise ValueError(f"manifest line {lineno}: want size >= 0, "
                                  "block in 1..2**32-1 and pseudo 0 or 1")

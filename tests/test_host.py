@@ -42,6 +42,9 @@ def test_manifest_builds_tree():
     "/data/f -5 64 0",                     # negative size
     "/data/f 64 64 2",                     # pseudo flag not 0 or 1
     "/data/f 64 64 -1",
+    "/data/f x 64 0",                      # fields that are not integers
+    "/data/f 64 4k 0",
+    "/data/f 64 64 yes",
 ])
 def test_manifest_rejects_out_of_range_fields(entry):
     with pytest.raises(ValueError, match="manifest line 2"):
