@@ -4,17 +4,17 @@ Task bodies are generators, so every blocking call here is also a generator
 and is entered with `yield from`. A synchronous wait polls through
 `EnclaveRuntime.poll_wait`: one busy poll tick while a pump could change
 something, else a scheduler block that spends no budget until the deadline
-or alarm, the next release of any task or a wake. Every timeout, a `PosixShim`
-staging drain's included, counts simulated time from the call's start, so
-a call gives up within its timeout plus one period whatever its budget. The
-layer converts the three ways a wait can end into errno conventions:
-negative errno for host refusals, -ETIMEDOUT when the caller's deadline
-passes, -EINTR when an alarm fires first, -EAGAIN for a zero-timeout
-probe that would block. A call that gives up releases its promise at once
-(promise.abandon): a direct submission's straggler (getpid) is dropped, and
-a staged call's arena is freed, at once if the call never reached the ring,
-else by its late completion; one that never comes holds a record, within
-the correlation table's cap, and that arena.
+or alarm, the next release of any task or a wake. Every timeout, a
+`PosixShim` staging drain's included, counts simulated time from the call's
+start, so a call gives up within its timeout plus one period whatever its
+budget. The layer converts the three ways a wait can end into errno
+conventions: negative errno for host refusals, -ETIMEDOUT when the caller's
+deadline passes, -EINTR when an alarm fires first, -EAGAIN for a
+zero-timeout probe that would block. A call that gives up releases its
+promise at once (promise.abandon): a direct submission's straggler (getpid)
+is dropped, and a staged call's arena is freed, at once if the call never
+reached the ring, else by its late completion; one that never comes holds a
+record, within the correlation table's cap, and that arena.
 
 The file facade stages writes privately and submits block-multiple chunks at
 tracked offsets, one write (a staged op, whose `landed` hook submits the next

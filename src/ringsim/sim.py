@@ -145,10 +145,10 @@ class EnclaveRuntime:
         continuation, a parked entry that could go out, a completion
         backlog), this is one busy-poll tick. Otherwise the task blocks,
         spending no budget, until `until`, the next release of any task or
-        a wake, while lower-priority tasks (the host) run. The backlog, and whether parked
-        entries are stuck, are what a pump in this same resume of the body
-        left: with no yield since, the host has not run, so only a retire
-        can make room.
+        a wake, while lower-priority tasks (the host) run. The backlog, and
+        whether parked entries are stuck, are what a pump in this same
+        resume of the body left: with no yield since, the host has not run,
+        so only a retire can make room.
         """
         h = self.handle
         fresh = self._pumped_in == self._sched.resumes

@@ -197,12 +197,12 @@ class RefSched:
 
     A ("block", until) takes the task off the eligible set until a tick
     starts at or after `until`, a tick at which any live task is released,
-    or wake(name); one whose `until` has passed resumes at once. A ("wake", name) entry calls
-    wake(name) and takes up the next command. After each resume the task is
-    picked again, so a task woken by the running one preempts it before its
-    next tick. `starts` records (now, task, script index) as each command is
-    taken up, `blocks` (now, task, script index, now) as each block ends in
-    a resume.
+    or wake(name); one whose `until` has passed resumes at once. A ("wake",
+    name) entry calls wake(name) and takes up the next command. After each
+    resume the task is picked again, so a task woken by the running one
+    preempts it before its next tick. `starts` records (now, task, script
+    index) as each command is taken up, `blocks` (now, task, script index,
+    now) as each block ends in a resume.
     """
 
     def __init__(self, policy: str):
@@ -244,8 +244,8 @@ class RefSched:
                 self.trace.append((self.now, t.name, "replenish"))
             if t.blocked and t.until is not None and t.until <= self.now:
                 t.blocked = False
-        for t in self.tasks:
-            if any_release and t.blocked:
+        for t in self.tasks if any_release else ():
+            if t.blocked:
                 t.blocked = False
                 self.released += 1
 

@@ -154,9 +154,9 @@ def _random_block_taskset(rng, n, horizon):
 
 def test_wait_matches_tick_by_tick_reference():
     # blocks end at `until`, at the next release of any live task, or at a
-    # wake from a task body or from outside between run_until calls; priorities drawn from
-    # two values tie often under FP, finite scripts exit mid-run, and the
-    # last task is admitted at the first cut
+    # wake from a task body or from outside between run_until calls;
+    # priorities drawn from two values tie often under FP, finite scripts
+    # exit mid-run, and the last task is admitted at the first cut
     rng = random.Random(5151)
     blocks_ended = woken = released = exits = late_dispatches = 0
     preempted = 0
